@@ -7,9 +7,16 @@ quadratic form in Gaussians whose matrix ``C_t`` is built from the offset
 correlation ``delta(t, x) = 2 Gamma(x) - Gamma(x+t) - Gamma(x-t)``, where
 ``Gamma`` is the autocorrelation of ``f``.  This module constructs models
 from an exemplar image or as white noise, evaluates ``C_t`` and the exact
-cumulants of the quadratic form (via matrix traces, no eigendecomposition),
-provides the closed-form white-noise eigenvalues for square patches, and
-samples from a model by spectral convolution.
+cumulants of the quadratic form, provides the closed-form white-noise
+eigenvalues for square patches, and samples from a model by spectral
+convolution.
+
+The cumulants are traces of powers of ``C_t``, with no eigendecomposition.
+For square patches ``C_t`` is block-Toeplitz with Toeplitz blocks, and
+:func:`cumulants` evaluates the traces from the ``(2p - 1)^2`` values of
+``delta`` at the patch differences, for a whole chunk of offsets at once
+and without forming ``C_t``.  Explicit coordinate-list patches use the
+dense traces of ``C_t``.
 """
 
 from __future__ import annotations
@@ -18,9 +25,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import imgio
 from .grid import PatchDomain, autocorrelation, _as_image
@@ -42,8 +51,16 @@ __all__ = [
     "white_noise_law",
 ]
 
-# Side cap for covariance matrices (entries per side).
+# Side cap (entries per side) for the dense covariance matrices: those of
+# covariance_matrix and those cumulants forms for coordinate-list patches.
+# The structured traces of square patches never form the matrix.
 COV_SIDE_CAP = 4096
+
+# Entries per stacked array in the cumulant engine (512 KiB of float64): a
+# chunk holds max(1, _CHUNK_ENTRIES // (2p - 1)^2) offsets of a p x p
+# patch (291 at p = 8, 43 at p = 20), so memory stays flat however many
+# offsets are evaluated.  Larger chunks run no faster.
+_CHUNK_ENTRIES = 2**16
 
 # delta(t,0) below this fraction of Gamma(0) is round-off from an exact
 # repeat in the exemplar; the law is then the point mass at zero.
@@ -121,35 +138,10 @@ def delta_map(model: MicrotextureModel, t: tuple[int, int]) -> np.ndarray:
     return out
 
 
-_diff_table_cache: dict = {}
-
-
-def _patch_diff_table(patch: PatchDomain, shape: tuple[int, int]):
-    """Unique coordinate differences of a patch and the index matrix
-    mapping entry ``(i, j)`` to the difference ``x_i - x_j``.
-
-    Differences are translation-invariant, so the table is cached per
-    patch geometry and torus shape (it is reused for every offset and
-    every anchor).
-    """
+def _coordinate_differences(patch: PatchDomain) -> tuple[np.ndarray, np.ndarray]:
+    """``x_i - x_j`` and ``y_i - y_j`` over pairs of patch pixels."""
     c = patch.coords()
-    rel = (c - c[0]).astype(np.int64)
-    key = (shape, rel.tobytes())
-    hit = _diff_table_cache.get(key)
-    if hit is not None:
-        return hit
-    h, w = shape
-    dx = (c[:, 0][:, None] - c[:, 0][None, :]) % w
-    dy = (c[:, 1][:, None] - c[:, 1][None, :]) % h
-    flat = (dy * w + dx).ravel()
-    uniq, inv = np.unique(flat, return_inverse=True)
-    inv = inv.ravel()
-    counts = np.bincount(inv, minlength=uniq.size).astype(np.float64)
-    result = (uniq, uniq % w, uniq // w, inv.reshape(dx.shape), counts)
-    if len(_diff_table_cache) >= 16:
-        _diff_table_cache.pop(next(iter(_diff_table_cache)))
-    _diff_table_cache[key] = result
-    return result
+    return c[:, 0][:, None] - c[:, 0][None, :], c[:, 1][:, None] - c[:, 1][None, :]
 
 
 def covariance_matrix(model: MicrotextureModel, t, patch: PatchDomain) -> np.ndarray:
@@ -159,60 +151,150 @@ def covariance_matrix(model: MicrotextureModel, t, patch: PatchDomain) -> np.nda
     if n > COV_SIDE_CAP:
         raise ValueError(f"patch size {n} exceeds covariance cap {COV_SIDE_CAP}")
     d = delta_map(model, t)
-    uniq, _, _, inv, _ = _patch_diff_table(patch, model.shape)
-    c = d.ravel()[uniq][inv]
-    return 0.5 * (c + c.T)
+    h, w = model.shape
+    dx, dy = _coordinate_differences(patch)
+    m = d[dy % h, dx % w]
+    return 0.5 * (m + m.T)
+
+
+def _delta_tables(g, tx, ty, d0, dx, dy) -> np.ndarray:
+    """``delta(t, .)`` at the coordinate differences ``(dx, dy)`` (two
+    broadcastable integer arrays) for each offset ``(tx[i], ty[i])``.
+
+    Returns an array of shape ``(len(tx),) + broadcast shape``.  Entries
+    at differences that vanish on the torus hold the clamped ``d0``.
+    """
+    h, w = g.shape
+    tx = tx.reshape((-1,) + (1,) * dx.ndim)
+    ty = ty.reshape((-1,) + (1,) * dy.ndim)
+    out = 2.0 * g[dy % h, dx % w] - g[(dy + ty) % h, (dx + tx) % w]
+    out -= g[(dy - ty) % h, (dx - tx) % w]
+    zero = np.broadcast_to((dx % w == 0) & (dy % h == 0), out.shape[1:])
+    out[:, zero] = d0[:, None]
+    return out
+
+
+def _axis_triples(p: int) -> np.ndarray:
+    """``m[alpha + p - 1, beta + p - 1] = #{k in [0, p) : k + beta and
+    k + alpha + beta in [0, p)}`` for ``alpha, beta`` in ``(-p, p)``."""
+    a = np.arange(1 - p, p)[:, None]
+    b = np.arange(1 - p, p)[None, :]
+    lo = np.maximum(np.maximum(0, -b), -(a + b))
+    hi = np.minimum(np.minimum(p, p - b), p - (a + b))
+    return np.maximum(hi - lo, 0).astype(np.float64)
+
+
+def _square_traces(d: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``tr C^2`` and ``tr C^3`` for a ``p x p`` patch, one per offset.
+
+    ``d[i, ax + p - 1, ay + p - 1]`` is ``delta`` of offset ``i`` at the
+    patch difference ``a``.  ``C`` is block-Toeplitz with Toeplitz blocks,
+    so ``tr C^2`` weighs ``d(a)^2`` by the ``(p - |ax|)(p - |ay|)`` pixel
+    pairs at difference ``a``.  ``tr C^3`` sums ``d(a) d(b) d(-a-b)`` over
+    the pixel triples at differences ``a, b``, whose count factorizes into
+    ``m(ax, bx) m(ay, by)`` (:func:`_axis_triples`).  Grouping by
+    ``s = ax + bx`` gives, with ``G_s[ay, by] = m(ay, by) d(-s, -(ay+by))``,
+    ``tr C^3 = sum_s sum_ax m(ax, s-ax) d[ax, :] G_s d[s-ax, :]^T``.
+    ``Gamma`` is even, hence so is ``d``, and ``m(-a, -b) = m(a, b)``: the
+    terms for ``s`` and ``-s`` are equal, which leaves ``p`` batched matrix
+    products of side at most ``2p - 1``.
+    """
+    side = 2 * p - 1
+    pairs = p - np.abs(np.arange(1 - p, p))
+    tr2 = np.einsum("mij,mij,i,j->m", d, d, pairs, pairs)
+    m = _axis_triples(p)
+    rev = d[:, ::-1]
+    # pad[:, p - 1 + k] holds the reversed row d[-s, side - 1 - k], so the
+    # windows of pad form the Hankel matrix d[-s, -(ay + by)]; the zero
+    # padding lies where m vanishes.
+    pad = np.zeros((len(d), side + 2 * (p - 1)))
+    tr3 = np.zeros(len(d))
+    for s in range(p):
+        pad[:, p - 1 : p - 1 + side] = d[:, p - 1 - s, ::-1]
+        g = sliding_window_view(pad, side, axis=1) * m
+        x = np.matmul(d[:, s:], g)  # rows ax >= s - p + 1, so |s - ax| < p
+        rows = np.arange(s, side)
+        pair = np.einsum("mij,mij->mi", x, rev[:, : side - s])
+        term = pair @ m[rows, side - 1 + s - rows]
+        tr3 += term if s == 0 else 2.0 * term
+    return tr2, tr3
+
+
+def _dense_traces(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``tr C^2`` and ``tr C^3`` of a stack of dense covariance matrices."""
+    return np.einsum("mij,mij->m", c, c), np.einsum("mij,mij->m", c, c @ c)
 
 
 def cumulants(model: MicrotextureModel, t, patch: PatchDomain) -> QuadFormLaw:
     """First three cumulants of the auto-similarity law at offset ``t``.
 
-    ``k1 = tr C``, ``k2 = 2 tr C^2`` (entrywise square sum), ``k3 = 8 tr
-    C^3`` (one symmetric matrix product); no eigendecomposition.  Offsets
-    whose increment variance is round-off relative to ``Gamma(0)`` give
-    the degenerate law.
+    ``t`` is one offset ``(tx, ty)``, giving float cumulants, or an
+    ``(m, 2)`` integer array of offsets, giving arrays of ``m`` cumulants
+    evaluated in chunks of bounded memory.
+
+    ``k1 = tr C = n delta(t, 0)``, ``k2 = 2 tr C^2`` and ``k3 = 8 tr C^3``,
+    with no eigendecomposition and, for square patches, without forming
+    ``C``: the traces come from the ``(2p - 1)^2`` values of ``delta`` at
+    the patch differences (see :func:`_square_traces`), in ``O(p^4)``
+    operations per offset.  Explicit coordinate-list patches, whose triple
+    counts do not factorize, use the dense traces of ``C`` (``O(n^3)``,
+    capped at ``COV_SIDE_CAP`` pixels).  Offsets whose increment variance
+    is round-off relative to ``Gamma(0)`` give the degenerate law.  With
+    several offsets, the error raised is the one the first failing offset
+    raises alone.
     """
+    offsets = np.asarray(t, dtype=np.int64)
+    if offsets.ndim not in (1, 2) or offsets.shape[-1] != 2:
+        raise ValueError(f"offsets must be (tx, ty) or (m, 2), got shape {offsets.shape}")
+    single = offsets.ndim == 1
+    offsets = offsets.reshape(-1, 2)
     n = patch.size()
-    if n > COV_SIDE_CAP:
-        raise ValueError(f"patch size {n} exceeds covariance cap {COV_SIDE_CAP}")
+    if patch.is_square:
+        p = patch.side
+        dx = np.arange(1 - p, p)[:, None]
+        dy = np.arange(1 - p, p)[None, :]
+        entries = (2 * p - 1) ** 2
+        traces = partial(_square_traces, p=p)
+    else:
+        if n > COV_SIDE_CAP:
+            raise ValueError(f"patch size {n} exceeds covariance cap {COV_SIDE_CAP}")
+        dx, dy = _coordinate_differences(patch)
+        entries = n * n
+        traces = _dense_traces
     g = model.gamma
     h, w = g.shape
-    gflat = g.ravel()
-    tx, ty = int(t[0]) % w, int(t[1]) % h
+    tx, ty = offsets[:, 0] % w, offsets[:, 1] % h
     d0 = 2.0 * (g[0, 0] - g[ty, tx])
-    if d0 < 0.0:
-        if d0 < -1e-10 * max(1.0, abs(g[0, 0])):
-            raise ArithmeticError(f"delta(t,0) = {d0} badly negative")
-        d0 = 0.0
-    if d0 <= 2.0 * _DEGENERATE_REL * g[0, 0]:
-        return QuadFormLaw(0.0, 0.0, 0.0)
-    uniq, ux, uy, inv, counts = _patch_diff_table(patch, (h, w))
-    # delta values at exactly the patch coordinate differences; the
-    # symmetrized gamma keeps the implied matrix exactly symmetric
-    vals = (
-        2.0 * gflat[uniq]
-        - gflat[((uy + ty) % h) * w + (ux + tx) % w]
-        - gflat[((uy - ty) % h) * w + (ux - tx) % w]
-    )
-    vals[0] = d0  # uniq is sorted, so index 0 is the zero difference
-    k1 = n * d0
-    k2 = 2.0 * float(counts @ (vals * vals))
-    c = vals[inv]
-    k3 = 8.0 * float(np.sum(c * (c @ c)))
-    if k3 < 0.0:
-        if k3 < -1e-8 * max(k2 ** 1.5, 1.0):
-            raise ArithmeticError(f"tr C^3 = {k3 / 8.0} badly negative")
-        k3 = 0.0
+    bad = d0 < -1e-10 * max(1.0, abs(g[0, 0]))
+    # Offsets past the first badly negative delta(t, 0) are left alone,
+    # as a loop over the offsets would stop there.
+    stop = int(np.argmax(bad)) if bad.any() else len(d0)
+    d0_clamped = np.where(d0 < 0.0, 0.0, d0)
+    live = np.flatnonzero(d0_clamped[:stop] > 2.0 * _DEGENERATE_REL * g[0, 0])
+    k1, k2, k3 = (np.zeros(len(d0)) for _ in range(3))
+    k1[live] = n * d0_clamped[live]
+    step = max(1, _CHUNK_ENTRIES // entries)
+    for start in range(0, live.size, step):
+        sel = live[start : start + step]
+        tables = _delta_tables(g, tx[sel], ty[sel], d0_clamped[sel], dx, dy)
+        tr2, tr3 = traces(tables)
+        k2[sel] = 2.0 * tr2
+        k3[sel] = 8.0 * tr3
+        neg = k3[sel] < -1e-8 * np.maximum(k2[sel] ** 1.5, 1.0)
+        if neg.any():
+            raise ArithmeticError(f"tr C^3 = {float(tr3[np.argmax(neg)])} badly negative")
+    if stop < len(d0):
+        raise ArithmeticError(f"delta(t,0) = {float(d0[stop])} badly negative")
+    k3 = np.maximum(k3, 0.0)
+    if single:
+        return QuadFormLaw(k1=float(k1[0]), k2=float(k2[0]), k3=float(k3[0]))
     return QuadFormLaw(k1=k1, k2=k2, k3=k3)
 
 
 def white_noise_covariance(p: int, t) -> np.ndarray:
     """Increment covariance for unit white noise on the plane (no wrap),
     square ``p x p`` patch, canonical order."""
-    patch = PatchDomain(side=p)
-    c = patch.coords()
-    dx = c[:, 0][:, None] - c[:, 0][None, :]
-    dy = c[:, 1][:, None] - c[:, 1][None, :]
+    dx, dy = _coordinate_differences(PatchDomain(side=p))
     tx, ty = int(t[0]), int(t[1])
     out = 2.0 * ((dx == 0) & (dy == 0)).astype(np.float64)
     out -= ((dx == tx) & (dy == ty)).astype(np.float64)

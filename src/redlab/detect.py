@@ -25,7 +25,7 @@ from scipy import special
 from . import imgio
 from .background import MicrotextureModel, cumulants
 from .grid import PatchDomain, as_map
-from .quadform import WoodFParams, cdf, fit, quantile
+from .quadform import KIND_GAMMA, KIND_POINT, KIND_WOOD, WoodFParams, cdf, fit, quantile
 
 __all__ = [
     "DetectionResult",
@@ -38,11 +38,6 @@ __all__ = [
     "threshold_a",
     "window_mask",
 ]
-
-_KIND_WOOD = 0
-_KIND_GAMMA = 1
-_KIND_POINT = 2
-
 
 def ap(model: MicrotextureModel, t, patch: PatchDomain, value: float) -> float:
     """Background probability that the statistic at ``t`` is <= ``value``."""
@@ -75,29 +70,17 @@ class OffsetLawTable:
 
     def params_at(self, t) -> WoodFParams:
         h, w = self.shape
-        iy, ix = t[1] % h, t[0] % w
-        k = int(self.kind[iy, ix])
-        if k == _KIND_POINT:
-            return WoodFParams(fallback="point-mass")
-        if k == _KIND_GAMMA:
-            return WoodFParams(
-                fallback="gamma-two-moment",
-                gamma_dof=float(self.p0[iy, ix]),
-                gamma_scale=float(self.p1[iy, ix]),
-            )
+        i = (t[1] % h, t[0] % w)
         return WoodFParams(
-            fallback="none",
-            alpha1=float(self.p0[iy, ix]),
-            alpha2=float(self.p1[iy, ix]),
-            beta=float(self.scale[iy, ix]),
+            int(self.kind[i]), float(self.p0[i]), float(self.p1[i]), float(self.scale[i])
         )
 
     def fallback_counts(self) -> dict:
         sel = self.mask if self.mask is not None else np.ones(self.shape, bool)
         return {
-            "wood_f": int(np.sum((self.kind == _KIND_WOOD) & sel)),
-            "gamma_two_moment": int(np.sum((self.kind == _KIND_GAMMA) & sel)),
-            "point_mass": int(np.sum((self.kind == _KIND_POINT) & sel)),
+            "wood_f": int(np.sum((self.kind == KIND_WOOD) & sel)),
+            "gamma_two_moment": int(np.sum((self.kind == KIND_GAMMA) & sel)),
+            "point_mass": int(np.sum((self.kind == KIND_POINT) & sel)),
         }
 
     def cdf_map(self, values: np.ndarray) -> np.ndarray:
@@ -107,8 +90,8 @@ class OffsetLawTable:
         """
         v = np.asarray(values, dtype=np.float64)
         out = np.ones(self.shape)
-        wood = self.kind == _KIND_WOOD
-        gam = self.kind == _KIND_GAMMA
+        wood = self.kind == KIND_WOOD
+        gam = self.kind == KIND_GAMMA
         if self.mask is not None:
             wood &= self.mask
             gam &= self.mask
@@ -119,7 +102,7 @@ class OffsetLawTable:
             out[gam] = special.gammainc(
                 self.p0[gam] / 2.0, v[gam] / (2.0 * self.p1[gam])
             )
-        pos = self.kind != _KIND_POINT
+        pos = self.kind != KIND_POINT
         out[pos & (v <= 0.0)] = 0.0
         if self.mask is not None:
             out[~self.mask] = 1.0
@@ -129,7 +112,7 @@ class OffsetLawTable:
         """Vectorized per-offset quantiles (0 for point-mass offsets)."""
         if not 0.0 < q < 1.0:
             raise ValueError(f"quantile level must be in (0,1), got {q}")
-        live = self.kind != _KIND_POINT
+        live = self.kind != KIND_POINT
         if self.mask is not None:
             live &= self.mask
         out = np.zeros(self.shape)
@@ -139,7 +122,7 @@ class OffsetLawTable:
         p0 = self.p0[live]
         p1 = self.p1[live]
         sc = self.scale[live]
-        wood = k == _KIND_WOOD
+        wood = k == KIND_WOOD
 
         def vec_cdf(x: np.ndarray) -> np.ndarray:
             res = np.empty_like(x)
@@ -169,7 +152,7 @@ class OffsetLawTable:
 
     def live_mask(self) -> np.ndarray:
         """Offsets that can ever be detected: evaluated and nondegenerate."""
-        live = self.kind != _KIND_POINT
+        live = self.kind != KIND_POINT
         if self.mask is not None:
             live &= self.mask
         return live
@@ -201,38 +184,36 @@ def window_mask(shape: tuple[int, int], radius: int) -> np.ndarray:
 def offset_laws(
     model: MicrotextureModel, patch: PatchDomain, mask: np.ndarray | None = None
 ) -> OffsetLawTable:
-    """Fit the statistic's law at every (unmasked) offset of the torus."""
+    """Fit the statistic's law at every (unmasked) offset of the torus.
+
+    The law at ``-t`` equals the law at ``t``, so an offset whose mirror
+    comes first in row-major order, and is itself evaluated, copies it.
+    The remaining offsets go through the cumulant engine in one call and
+    through one array fit; an error is the one the first failing offset,
+    in row-major order, raises.
+    """
     h, w = model.shape
-    kind = np.full((h, w), _KIND_POINT, dtype=np.uint8)
-    p0 = np.zeros((h, w))
-    p1 = np.zeros((h, w))
-    scale = np.zeros((h, w))
-    for iy in range(h):
-        for ix in range(w):
-            if mask is not None and not mask[iy, ix]:
-                continue
-            my, mx = (-iy) % h, (-ix) % w
-            if (my, mx) < (iy, ix) and (mask is None or mask[my, mx]):
-                # law at -t equals law at t
-                kind[iy, ix] = kind[my, mx]
-                p0[iy, ix] = p0[my, mx]
-                p1[iy, ix] = p1[my, mx]
-                scale[iy, ix] = scale[my, mx]
-                continue
-            params = fit(cumulants(model, (ix, iy), patch))
-            if params.fallback == "point-mass":
-                kind[iy, ix] = _KIND_POINT
-            elif params.fallback == "gamma-two-moment":
-                kind[iy, ix] = _KIND_GAMMA
-                p0[iy, ix] = params.gamma_dof
-                p1[iy, ix] = params.gamma_scale
-            else:
-                kind[iy, ix] = _KIND_WOOD
-                p0[iy, ix] = params.alpha1
-                p1[iy, ix] = params.alpha2
-                scale[iy, ix] = params.beta
+    flat = np.arange(h * w).reshape(h, w)
+    mirror = ((-np.arange(h)) % h)[:, None] * w + (-np.arange(w)) % w
+    sel = np.ones((h, w), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    copy = sel & (mirror < flat) & sel.ravel()[mirror]
+    evaluate = sel & ~copy
+    ys, xs = np.nonzero(evaluate)
+    params = fit(cumulants(model, np.stack([xs, ys], axis=1), patch))
+
+    def spread(values, fill=0.0, dtype=np.float64) -> np.ndarray:
+        out = np.full((h, w), fill, dtype=dtype)
+        out[evaluate] = values
+        out[copy] = out.ravel()[mirror[copy]]
+        return out
+
     return OffsetLawTable(
-        shape=(h, w), kind=kind, p0=p0, p1=p1, scale=scale, mask=mask
+        shape=(h, w),
+        kind=spread(params.kind, KIND_POINT, np.uint8),
+        p0=spread(params.p0),
+        p1=spread(params.p1),
+        scale=spread(params.scale),
+        mask=mask,
     )
 
 

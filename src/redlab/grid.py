@@ -33,7 +33,6 @@ __all__ = [
     "extract_patch",
     "inertia",
     "laplacian",
-    "offset_value",
 ]
 
 # Relative clamp applied to FFT auto-similarity values so exact repeats
@@ -101,12 +100,6 @@ def _as_image(u) -> np.ndarray:
     if not np.all(np.isfinite(u)):
         raise ValueError("image contains non-finite values")
     return u
-
-
-def offset_value(offset_map: np.ndarray, t: tuple[int, int]) -> float:
-    """Value of an offset map at ``t``, with periodic wrap."""
-    h, w = offset_map.shape
-    return float(offset_map[t[1] % h, t[0] % w])
 
 
 def centered_offset(t: tuple[int, int], shape: tuple[int, int]) -> tuple[int, int]:

@@ -8,6 +8,9 @@ bottom-to-top) carries real-valued maps such as probability maps.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 __all__ = ["read_pgm", "write_pgm", "read_pfm", "write_pfm"]
@@ -32,21 +35,41 @@ def _tokens(data: bytes):
             i = j
 
 
+def _header(it, count: int) -> tuple[list[bytes], int]:
+    """The next ``count`` header tokens and the offset just past the last."""
+    fields, end = [], 0
+    for tok, end in itertools.islice(it, count):
+        fields.append(tok)
+    if len(fields) < count:
+        raise ValueError("truncated header")
+    return fields, end
+
+
+def _read(path, parse):
+    """Parse a file's bytes; a malformed file raises ``ValueError`` naming it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_pgm(path) -> tuple[np.ndarray, int]:
     """Read a PGM file.  Returns ``(image, maxval)`` with float64 pixels.
 
     Sample values are kept on their stored scale ([0, maxval]); no
     rescaling is applied.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    return _read(path, _parse_pgm)
+
+
+def _parse_pgm(data: bytes) -> tuple[np.ndarray, int]:
     it = _tokens(data)
-    magic, _ = next(it)
+    (magic,), _ = _header(it, 1)
     if magic not in (b"P2", b"P5"):
         raise ValueError(f"not a PGM file (magic {magic!r})")
-    width, _ = next(it)
-    height, _ = next(it)
-    maxval, end = next(it)
+    (width, height, maxval), end = _header(it, 3)
     width, height, maxval = int(width), int(height), int(maxval)
     if not (0 < maxval < 65536):
         raise ValueError(f"invalid PGM maxval {maxval}")
@@ -96,16 +119,18 @@ def write_pgm(path, image, maxval: int = 255, binary: bool = True) -> None:
 
 def read_pfm(path) -> np.ndarray:
     """Read a grayscale PFM file into a float64 array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    return _read(path, _parse_pfm)
+
+
+def _parse_pfm(data: bytes) -> np.ndarray:
     it = _tokens(data)
-    magic, _ = next(it)
+    (magic,), _ = _header(it, 1)
     if magic != b"Pf":
         raise ValueError(f"not a grayscale PFM file (magic {magic!r})")
-    width, _ = next(it)
-    height, _ = next(it)
-    scale, end = next(it)
+    (width, height, scale), end = _header(it, 3)
     width, height, scale = int(width), int(height), float(scale)
+    if scale == 0.0 or not math.isfinite(scale):
+        raise ValueError(f"invalid PFM scale {scale}")
     dtype = np.dtype("<f4") if scale < 0 else np.dtype(">f4")
     start = end + 1
     n = width * height

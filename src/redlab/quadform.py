@@ -27,7 +27,10 @@ _NEG_CUMULANT_TOL = 1e-10
 @dataclass(frozen=True)
 class QuadFormLaw:
     """First three cumulants of ``sum lambda_k Z_k``, plus the eigenvalues
-    when they are known explicitly (as ``(value, multiplicity)`` pairs)."""
+    when they are known explicitly (as ``(value, multiplicity)`` pairs).
+
+    The cumulants may also be equal-shape arrays, one law per entry.
+    """
 
     k1: float
     k2: float
@@ -47,22 +50,51 @@ class QuadFormLaw:
         return self.k1 == 0.0
 
 
+# Branch codes of a fitted law.
+KIND_WOOD = 0  # beta-prime (Wood F) three-moment fit
+KIND_GAMMA = 1  # two-moment scaled chi-square fallback
+KIND_POINT = 2  # point mass at zero
+_FALLBACK_NAMES = ("none", "gamma-two-moment", "point-mass")
+
+
 @dataclass(frozen=True)
 class WoodFParams:
-    """Parameters of the fitted CDF.
+    """Parameters of the fitted CDF of one law, or of an array of laws.
 
-    ``fallback`` is ``"none"`` for the beta-prime fit (shape parameters
-    ``alpha1``, ``alpha2`` and scale ``beta``), ``"gamma-two-moment"``
-    for the scaled chi-square fallback (``gamma_dof`` degrees of freedom,
-    multiplier ``gamma_scale``), or ``"point-mass"`` for the zero law.
+    ``kind`` codes the branch.  For ``KIND_WOOD`` (the beta-prime fit)
+    ``p0``, ``p1`` are the shapes ``alpha1``, ``alpha2`` and ``scale`` is
+    ``beta``; for ``KIND_GAMMA`` (the scaled chi-square fallback) ``p0``
+    is the degrees of freedom and ``p1`` the multiplier; ``KIND_POINT`` is
+    the zero law.  Fields are scalars for one law and equal-shape arrays
+    for many; ``fallback`` and the Wood F shapes ``alpha1``, ``alpha2``,
+    ``beta`` read a scalar fit.
     """
 
-    fallback: str
-    alpha1: float = 0.0
-    alpha2: float = 0.0
-    beta: float = 0.0
-    gamma_dof: float = 0.0
-    gamma_scale: float = 0.0
+    kind: int | np.ndarray
+    p0: float | np.ndarray = 0.0
+    p1: float | np.ndarray = 0.0
+    scale: float | np.ndarray = 0.0
+
+    @property
+    def fallback(self) -> str:
+        """``"none"`` (beta-prime fit), ``"gamma-two-moment"`` or
+        ``"point-mass"``."""
+        return _FALLBACK_NAMES[int(self.kind)]
+
+    def _branch(self, kind: int, value) -> float:
+        return float(value) if int(self.kind) == kind else 0.0
+
+    @property
+    def alpha1(self) -> float:
+        return self._branch(KIND_WOOD, self.p0)
+
+    @property
+    def alpha2(self) -> float:
+        return self._branch(KIND_WOOD, self.p1)
+
+    @property
+    def beta(self) -> float:
+        return self._branch(KIND_WOOD, self.scale)
 
 
 def fit(law: QuadFormLaw) -> WoodFParams:
@@ -72,57 +104,70 @@ def fit(law: QuadFormLaw) -> WoodFParams:
     in closed form.  Falls back to the two-moment scaled chi-square when
     the solution is infeasible (nonpositive shapes, third moment not
     finite, or essentially-gamma laws) and to a point mass when the first
-    cumulant vanishes.
+    cumulant vanishes.  Cumulant arrays are fitted elementwise; scalar
+    cumulants give scalar parameters.
     """
-    k1, k2, k3 = law.k1, law.k2, law.k3
-    if k1 < -_NEG_CUMULANT_TOL or k2 < -_NEG_CUMULANT_TOL or k3 < -_NEG_CUMULANT_TOL:
-        raise ValueError(f"negative cumulants: {(k1, k2, k3)}")
-    k1, k2, k3 = max(k1, 0.0), max(k2, 0.0), max(k3, 0.0)
-    if k1 == 0.0 or k2 == 0.0:
-        return WoodFParams(fallback="point-mass")
+    k1, k2, k3 = (np.asarray(k, dtype=np.float64) for k in (law.k1, law.k2, law.k3))
+    neg = np.minimum(np.minimum(k1, k2), k3) < -_NEG_CUMULANT_TOL
+    if np.any(neg):
+        i = np.unravel_index(np.argmax(neg), neg.shape)
+        first = tuple(float(k[i]) for k in (k1, k2, k3))
+        raise ValueError(f"negative cumulants: {first}")
+    k1, k2, k3 = np.maximum(k1, 0.0), np.maximum(k2, 0.0), np.maximum(k3, 0.0)
+    point = (k1 == 0.0) | (k2 == 0.0)
 
-    m1 = k1
-    m2 = k2 + k1 * k1
-    m3 = k3 + 3.0 * k1 * k2 + k1**3
-    r1 = m2 / (m1 * m1)
-    r2 = m3 / (m1 * m2)
-
-    denom = 2.0 * r2 - r1 - r1 * r2
-    if denom != 0.0:
+    # Infeasible branches and point masses produce inf/nan here; the
+    # feasibility mask below discards them.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m1 = k1
+        m2 = k2 + k1 * k1
+        m3 = k3 + 3.0 * k1 * k2 + k1**3
+        r1 = m2 / (m1 * m1)
+        r2 = m3 / (m1 * m2)
+        denom = 2.0 * r2 - r1 - r1 * r2
         a1 = 2.0 * (r1 - r2) / denom
         d = a1 * (r1 - 1.0) - 1.0
-        if a1 > 0.0 and d != 0.0:
-            a2 = ((2.0 * r1 - 1.0) * a1 - 1.0) / d
-            if 3.0 < a2 <= _ALPHA2_CAP:
-                beta = m1 * (a2 - 1.0) / a1
-                if beta > 0.0:
-                    return WoodFParams(fallback="none", alpha1=a1, alpha2=a2, beta=beta)
+        a2 = ((2.0 * r1 - 1.0) * a1 - 1.0) / d
+        beta = m1 * (a2 - 1.0) / a1
+        wood = (
+            ~point
+            & (denom != 0.0)
+            & (a1 > 0.0)
+            & (d != 0.0)
+            & (a2 > 3.0)
+            & (a2 <= _ALPHA2_CAP)
+            & (beta > 0.0)
+        )
+        # Matches the first two cumulants; exact for equal-eigenvalue laws.
+        dof = 2.0 * k1 * k1 / k2
+        mult = k2 / (2.0 * k1)
 
-    # Matches the first two cumulants; exact for equal-eigenvalue laws.
-    return WoodFParams(
-        fallback="gamma-two-moment",
-        gamma_dof=2.0 * k1 * k1 / k2,
-        gamma_scale=k2 / (2.0 * k1),
-    )
+    kind = np.where(point, KIND_POINT, np.where(wood, KIND_WOOD, KIND_GAMMA))
+    p0 = np.where(point, 0.0, np.where(wood, a1, dof))
+    p1 = np.where(point, 0.0, np.where(wood, a2, mult))
+    scale = np.where(wood, beta, 0.0)
+    if kind.ndim == 0:
+        return WoodFParams(int(kind), float(p0), float(p1), float(scale))
+    return WoodFParams(kind.astype(np.uint8), p0, p1, scale)
 
 
 def cdf(params: WoodFParams, x: float) -> float:
     """CDF of the fitted law at ``x``; monotone, 0 below the support."""
-    if params.fallback == "point-mass":
+    if params.kind == KIND_POINT:
         return 1.0 if x >= 0.0 else 0.0
     if x <= 0.0:
         return 0.0
-    if params.fallback == "none":
-        y = x / params.beta
-        return float(special.betainc(params.alpha1, params.alpha2, y / (1.0 + y)))
-    return float(special.gammainc(params.gamma_dof / 2.0, x / (2.0 * params.gamma_scale)))
+    if params.kind == KIND_WOOD:
+        y = x / params.scale
+        return float(special.betainc(params.p0, params.p1, y / (1.0 + y)))
+    return float(special.gammainc(params.p0 / 2.0, x / (2.0 * params.p1)))
 
 
 def _mean(params: WoodFParams) -> float:
-    if params.fallback == "none":
-        return params.beta * params.alpha1 / (params.alpha2 - 1.0)
-    if params.fallback == "gamma-two-moment":
-        return params.gamma_dof * params.gamma_scale
+    if params.kind == KIND_WOOD:
+        return params.scale * params.p0 / (params.p1 - 1.0)
+    if params.kind == KIND_GAMMA:
+        return params.p0 * params.p1
     return 0.0
 
 
@@ -133,7 +178,7 @@ def quantile(params: WoodFParams, q: float) -> float:
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0,1), got {q}")
-    if params.fallback == "point-mass":
+    if params.kind == KIND_POINT:
         return 0.0
     hi = max(_mean(params), 1.0)
     for _ in range(2048):

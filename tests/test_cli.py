@@ -270,3 +270,26 @@ def test_threads_flag_does_not_change_bytes(tmp_path, stripe_image, monkeypatch)
     assert main(["detect", str(path), "--patch", "2,2,4", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["params"]["threads"] == "3"
+
+
+# ----------------------------------------------------------- bad inputs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "{bad}", "--patch", "0,0,2"],
+        ["denoise", "{bad}", "--sigma", "10"],
+        ["lattice", "{bad}", "--patch", "0,0,2"],
+        ["rank", "{dir}", "--K", "2", "--p", "4"],
+    ],
+)
+def test_truncated_header_exits_2_naming_the_file(tmp_path, capsys, argv):
+    imgdir = tmp_path / "imgs"
+    imgdir.mkdir()
+    board_image(imgdir / "a_good.pgm", n=16)
+    bad = imgdir / "b_cut.pgm"
+    bad.write_bytes(b"P5\n4 ")
+    argv = [a.format(bad=bad, dir=imgdir) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "b_cut.pgm" in capsys.readouterr().err

@@ -1,0 +1,239 @@
+"""The structured cumulant engine and the array law fit against the dense
+oracles of ``tests/oracles.py``.
+
+Agreement contract: ``k1`` is identical, ``k2`` and ``k3`` agree to 1e-12
+relative, and every law takes the same fit branch.  Fit parameters agree
+to 1e-10 relative: the three-moment fit amplifies last-ulp differences in
+its inputs (numpy's ``x**3`` and Python's differ in the last ulp for a few
+percent of inputs) by up to about a thousand.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+from oracles import dense_cumulants, loop_offset_laws, scalar_fit
+
+import redlab.background as background
+from redlab.background import MicrotextureModel, cumulants, from_exemplar, white_noise
+from redlab.detect import offset_laws, stride_mask, window_mask
+from redlab.grid import PatchDomain
+from redlab.quadform import KIND_POINT, QuadFormLaw, fit
+
+K_RTOL = 1e-12
+PARAM_RTOL = 1e-10
+
+
+def assert_cumulants_match(model, offsets, patch):
+    law = cumulants(model, offsets, patch)
+    kinds = fit(law).kind
+    for i, t in enumerate(offsets):
+        ref = dense_cumulants(model, t, patch)
+        assert law.k1[i] == ref[0], (t, law.k1[i], ref[0])
+        for got, want in ((law.k2[i], ref[1]), (law.k3[i], ref[2])):
+            assert abs(got - want) <= K_RTOL * abs(want), (t, got, want)
+        assert kinds[i] == scalar_fit(*ref)[0], t
+
+
+def random_model(rng, h, w):
+    if rng.random() < 0.5:
+        return white_noise((h, w), std=float(rng.uniform(0.5, 3.0)))
+    return from_exemplar(rng.standard_normal((h, w)) * rng.uniform(0.5, 3.0))
+
+
+def random_offsets(rng, h, w, m):
+    tx = rng.integers(-2 * w, 2 * w, m)
+    return np.stack([tx, rng.integers(-2 * h, 2 * h, m)], axis=1)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_engine_matches_dense_trace(seed):
+    rng = np.random.default_rng(1000 + seed)
+    for _ in range(6):
+        h, w = (int(v) for v in rng.integers(3, 18, 2))
+        model = random_model(rng, h, w)
+        # p from 1 to beyond the image side; anchors anywhere (wrapped)
+        p = int(rng.integers(1, max(h, w) + 6))
+        anchor = (int(rng.integers(-20, 20)), int(rng.integers(-20, 20)))
+        patch = PatchDomain(anchor=anchor, side=p)
+        offsets = np.concatenate([[[0, 0]], random_offsets(rng, h, w, 12)])
+        assert_cumulants_match(model, offsets, patch)
+
+
+def test_engine_coordinate_list_patch_uses_dense_traces():
+    rng = np.random.default_rng(7)
+    model = from_exemplar(rng.standard_normal((9, 11)))
+    patch = PatchDomain(coords_list=((0, 0), (3, 1), (1, 4), (12, 2), (5, 5)))
+    assert_cumulants_match(model, random_offsets(rng, 9, 11, 15), patch)
+
+
+def test_engine_p1_is_the_pixel_variance_law():
+    rng = np.random.default_rng(8)
+    model = from_exemplar(rng.standard_normal((7, 6)))
+    law = cumulants(model, (2, 3), PatchDomain(side=1))
+    d0 = 2.0 * (model.gamma[0, 0] - model.gamma[3, 2])
+    assert law.k1 == d0
+    assert law.k2 == pytest.approx(2.0 * d0 * d0, rel=1e-15)
+    assert law.k3 == pytest.approx(8.0 * d0**3, rel=1e-15)
+
+
+def test_engine_point_mass_offsets():
+    tile = np.random.default_rng(9).standard_normal((4, 5))
+    model = from_exemplar(np.tile(tile, (3, 2)))  # exact period (5, 0) and (0, 4)
+    offsets = np.array([[0, 0], [5, 0], [0, 4], [5, 8], [1, 0], [2, 3]])
+    patch = PatchDomain(anchor=(2, 1), side=6)
+    law = cumulants(model, offsets, patch)
+    kinds = fit(law).kind
+    assert list(kinds[:4]) == [KIND_POINT] * 4
+    assert np.all(kinds[4:] != KIND_POINT)
+    assert np.all(law.k1[:4] == 0.0) and np.all(law.k3[:4] == 0.0)
+    assert_cumulants_match(model, offsets, patch)
+
+
+def test_one_offset_is_the_batch_case():
+    rng = np.random.default_rng(10)
+    model = from_exemplar(rng.standard_normal((10, 10)))
+    patch = PatchDomain(side=5)
+    offsets = random_offsets(rng, 10, 10, 6)
+    batch = cumulants(model, offsets, patch)
+    for i, t in enumerate(offsets):
+        one = cumulants(model, tuple(int(v) for v in t), patch)
+        assert isinstance(one.k1, float) and one.k1 == batch.k1[i]
+        assert one.k2 == pytest.approx(batch.k2[i], rel=1e-14)
+        assert one.k3 == pytest.approx(batch.k3[i], rel=1e-14)
+
+
+def test_engine_rejects_malformed_offsets():
+    model = white_noise((8, 8))
+    with pytest.raises(ValueError):
+        cumulants(model, (1, 2, 3), PatchDomain(side=2))
+    with pytest.raises(ValueError):
+        cumulants(model, np.zeros((2, 2, 2), dtype=int), PatchDomain(side=2))
+
+
+def test_engine_memory_is_chunked(monkeypatch):
+    # Chunks of a few offsets give the same cumulants as one big chunk.
+    rng = np.random.default_rng(11)
+    model = from_exemplar(rng.standard_normal((12, 13)))
+    patch = PatchDomain(side=4)
+    offsets = random_offsets(rng, 12, 13, 40)
+    whole = cumulants(model, offsets, patch)
+    monkeypatch.setattr(background, "_CHUNK_ENTRIES", 3 * 49)
+    parts = cumulants(model, offsets, patch)
+    assert np.array_equal(whole.k1, parts.k1)
+    np.testing.assert_allclose(parts.k2, whole.k2, rtol=1e-14)
+    np.testing.assert_allclose(parts.k3, whole.k3, rtol=1e-14)
+
+
+# ----------------------------------------------------------------- fit
+
+
+def test_array_fit_matches_scalar_fit():
+    rng = np.random.default_rng(12)
+    laws = []
+    for _ in range(400):
+        lam = rng.uniform(0.0, 5.0, int(rng.integers(1, 60))) ** rng.uniform(0.2, 4.0)
+        laws.append((lam.sum(), 2.0 * (lam**2).sum(), 8.0 * (lam**3).sum()))
+    laws += [(0.0, 0.0, 0.0), (2.0, 8.0, 64.0), (3.0, 6.0, 24.0), (1.0, 0.0, 0.0)]
+    k = np.array(laws).T
+    params = fit(QuadFormLaw(k[0], k[1], k[2]))
+    for i, law in enumerate(laws):
+        kind, p0, p1, scale = scalar_fit(*law)
+        assert params.kind[i] == kind, law
+        for got, want in ((params.p0[i], p0), (params.p1[i], p1), (params.scale[i], scale)):
+            assert got == pytest.approx(want, rel=PARAM_RTOL, abs=0.0)
+        one = fit(QuadFormLaw(*law))  # 0-d case: its own rounding of x**3
+        assert one.kind == params.kind[i]
+        for got, want in ((one.p0, p0), (one.p1, p1), (one.scale, scale)):
+            assert got == pytest.approx(want, rel=PARAM_RTOL, abs=0.0)
+
+
+def test_array_fit_rejects_negative_cumulants():
+    k = np.array([[1.0, 2.0, 3.0], [1.0, -1.0, 3.0], [-1.0, 2.0, 3.0]]).T
+    with pytest.raises(ValueError, match=re.escape("(1.0, -1.0, 3.0)")):
+        fit(QuadFormLaw(k[0], k[1], k[2]))
+
+
+# ------------------------------------------------------------ law tables
+
+
+def assert_table_matches_loop(model, patch, mask=None):
+    table = offset_laws(model, patch, mask=mask)
+    kind, p0, p1, scale = loop_offset_laws(model, patch, mask=mask)
+    assert np.array_equal(table.kind, kind)
+    for got, want in ((table.p0, p0), (table.p1, p1), (table.scale, scale)):
+        np.testing.assert_allclose(got, want, rtol=PARAM_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_offset_laws_match_the_loop(seed):
+    rng = np.random.default_rng(2000 + seed)
+    h, w = (int(v) for v in rng.integers(5, 14, 2))
+    model = random_model(rng, h, w)
+    p = int(rng.integers(1, max(h, w) + 3))
+    patch = PatchDomain(anchor=(int(rng.integers(0, w)), int(rng.integers(0, h))), side=p)
+    assert_table_matches_loop(model, patch)
+    assert_table_matches_loop(model, patch, stride_mask((h, w), int(rng.integers(2, 4))))
+    assert_table_matches_loop(model, patch, window_mask((h, w), int(rng.integers(1, 4))))
+    # a random mask keeps some offsets whose mirror is masked out
+    assert_table_matches_loop(model, patch, rng.random((h, w)) < 0.5)
+
+
+def test_offset_laws_match_the_loop_on_an_exact_period():
+    tile = np.random.default_rng(13).standard_normal((3, 4))
+    model = from_exemplar(np.tile(tile, (3, 3)))
+    assert_table_matches_loop(model, PatchDomain(side=5))
+
+
+def test_offset_laws_with_everything_masked():
+    model = from_exemplar(np.random.default_rng(14).standard_normal((6, 6)))
+    table = offset_laws(model, PatchDomain(side=3), mask=np.zeros((6, 6), dtype=bool))
+    assert np.all(table.kind == KIND_POINT)
+    assert table.fallback_counts() == {"wood_f": 0, "gamma_two_moment": 0, "point_mass": 0}
+
+
+# ---------------------------------------------------------------- errors
+
+
+def raised(fn):
+    try:
+        fn()
+    except ArithmeticError as exc:
+        return str(exc)
+    return None
+
+
+def reported(message):
+    return float(re.search(r"= (\S+) badly", message).group(1))
+
+
+def bad_model(rng, h, w):
+    """A model whose 'autocorrelation' is not positive semi-definite, so
+    some offsets have negative increment variances."""
+    g = rng.standard_normal((h, w))
+    g = 0.5 * (g + g[(-np.arange(h)) % h][:, (-np.arange(w)) % w])
+    g[0, 0] = abs(g[0, 0])
+    return MicrotextureModel(kernel=np.zeros((h, w)), gamma=g, kind="exemplar")
+
+
+def test_table_raises_the_error_of_the_first_failing_offset(monkeypatch):
+    monkeypatch.setattr(background, "_CHUNK_ENTRIES", 2 * 25)
+    rng = np.random.default_rng(15)
+    kinds = set()
+    for _ in range(30):
+        h, w = (int(v) for v in rng.integers(4, 9, 2))
+        model = bad_model(rng, h, w)
+        patch = PatchDomain(side=int(rng.integers(1, 4)))
+        got = raised(lambda: offset_laws(model, patch))
+        want = raised(lambda: loop_offset_laws(model, patch))
+        assert (got is None) == (want is None)
+        if want is None:
+            continue
+        kinds.add(want.split(" = ")[0])
+        if want.startswith("delta"):
+            assert got == want
+        else:
+            assert got.startswith("tr C^3")
+            assert math.isclose(reported(got), reported(want), rel_tol=1e-9)
+    assert kinds == {"delta(t,0)", "tr C^3"}

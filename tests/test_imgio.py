@@ -105,3 +105,33 @@ def test_pfm_errors(tmp_path):
     path.write_bytes(b"Pf\n2 2\n-1.0\n" + b"\x00" * 4)
     with pytest.raises(ValueError):
         read_pfm(path)
+
+
+# ------------------------------------------------------- malformed files
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"", b"P5", b"P5\n4 ", b"P5\n4 4", b"P5\n4 4\n", b"P2\n# only a comment\n"],
+)
+def test_pgm_truncated_header_names_the_file(tmp_path, payload):
+    path = tmp_path / "cut.pgm"
+    path.write_bytes(payload)
+    with pytest.raises(ValueError, match="cut.pgm"):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("payload", [b"", b"Pf", b"Pf\n2 ", b"Pf\n2 2\n"])
+def test_pfm_truncated_header_names_the_file(tmp_path, payload):
+    path = tmp_path / "cut.pfm"
+    path.write_bytes(payload)
+    with pytest.raises(ValueError, match="cut.pfm"):
+        read_pfm(path)
+
+
+@pytest.mark.parametrize("scale", [b"0", b"-0.0", b"nan", b"inf", b"-inf"])
+def test_pfm_rejects_zero_and_non_finite_scale(tmp_path, scale):
+    path = tmp_path / "scale.pfm"
+    path.write_bytes(b"Pf\n2 1\n" + scale + b"\n" + np.ones(2, dtype="<f4").tobytes())
+    with pytest.raises(ValueError, match="scale"):
+        read_pfm(path)
