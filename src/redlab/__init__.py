@@ -12,9 +12,7 @@ __version__ = "0.1.0"
 
 from .background import (
     MicrotextureModel,
-    covariance_matrix,
     cumulants,
-    delta_map,
     from_exemplar,
     load_model,
     sample,
@@ -63,4 +61,4 @@ from .lattice import (
     update_basis,
     update_coeffs,
 )
-from .quadform import QuadFormLaw, WoodFParams, cdf, fit, mc_cdf, quantile
+from .quadform import QuadFormLaw, WoodFParams, cdf, fit, quantile

@@ -6,8 +6,8 @@ model the auto-similarity statistic at offset ``t`` is a nonnegative
 quadratic form in Gaussians whose matrix ``C_t`` is built from the offset
 correlation ``delta(t, x) = 2 Gamma(x) - Gamma(x+t) - Gamma(x-t)``, where
 ``Gamma`` is the autocorrelation of ``f``.  This module constructs models
-from an exemplar image or as white noise, evaluates ``C_t`` and the exact
-cumulants of the quadratic form, provides the closed-form white-noise
+from an exemplar image or as white noise, evaluates the exact cumulants
+of the quadratic form, provides the closed-form white-noise
 eigenvalues for square patches, and samples from a model by spectral
 convolution.
 
@@ -37,9 +37,7 @@ from .quadform import QuadFormLaw
 
 __all__ = [
     "MicrotextureModel",
-    "covariance_matrix",
     "cumulants",
-    "delta_map",
     "from_exemplar",
     "load_model",
     "sample",
@@ -51,9 +49,9 @@ __all__ = [
     "white_noise_law",
 ]
 
-# Side cap (entries per side) for the dense covariance matrices: those of
-# covariance_matrix and those cumulants forms for coordinate-list patches.
-# The structured traces of square patches never form the matrix.
+# Side cap (entries per side) for the dense covariance matrices that
+# cumulants forms for coordinate-list patches.  The structured traces of
+# square patches never form the matrix.
 COV_SIDE_CAP = 4096
 
 # Entries per stacked array in the cumulant engine (512 KiB of float64): a
@@ -120,41 +118,10 @@ def from_exemplar(u) -> MicrotextureModel:
     return MicrotextureModel(kernel=kernel, gamma=gamma, kind="exemplar")
 
 
-def delta_map(model: MicrotextureModel, t: tuple[int, int]) -> np.ndarray:
-    """Offset correlation ``x -> 2 Gamma(x) - Gamma(x+t) - Gamma(x-t)``.
-
-    The value at ``x = 0`` is clamped to be nonnegative (it is twice a
-    variance; FFT round-off may leave a tiny negative residue).
-    """
-    g = model.gamma
-    tx, ty = int(t[0]), int(t[1])
-    fwd = np.roll(g, shift=(-ty, -tx), axis=(0, 1))
-    bwd = np.roll(g, shift=(ty, tx), axis=(0, 1))
-    out = 2.0 * g - fwd - bwd
-    if out[0, 0] < 0.0:
-        if out[0, 0] < -1e-10 * max(1.0, abs(g[0, 0])):
-            raise ArithmeticError(f"delta(t,0) = {out[0, 0]} badly negative")
-        out[0, 0] = 0.0
-    return out
-
-
 def _coordinate_differences(patch: PatchDomain) -> tuple[np.ndarray, np.ndarray]:
     """``x_i - x_j`` and ``y_i - y_j`` over pairs of patch pixels."""
     c = patch.coords()
     return c[:, 0][:, None] - c[:, 0][None, :], c[:, 1][:, None] - c[:, 1][None, :]
-
-
-def covariance_matrix(model: MicrotextureModel, t, patch: PatchDomain) -> np.ndarray:
-    """Covariance matrix of the increment field over the patch, entries
-    ``delta(t, x_i - x_j)`` in canonical patch order."""
-    n = patch.size()
-    if n > COV_SIDE_CAP:
-        raise ValueError(f"patch size {n} exceeds covariance cap {COV_SIDE_CAP}")
-    d = delta_map(model, t)
-    h, w = model.shape
-    dx, dy = _coordinate_differences(patch)
-    m = d[dy % h, dx % w]
-    return 0.5 * (m + m.T)
 
 
 def _delta_tables(g, tx, ty, d0, dx, dy) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -53,14 +52,6 @@ def _write_manifest(outdir: Path, command: str, params: dict, outputs: dict) -> 
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _resolve_threads(value: str | None) -> str:
-    # Recorded for reproducibility; execution is sequential either way,
-    # so outputs never depend on it.
-    if value is None:
-        value = os.environ.get("REDLAB_THREADS", "auto")
-    return value
-
-
 def _cmd_detect(args) -> int:
     u, _ = _read_input(args.input)
     x, y, p = _parse_patch(args.patch)
@@ -87,7 +78,6 @@ def _cmd_detect(args) -> int:
         "model": args.model,
         "mask_stride": args.mask,
         "seed": args.seed,
-        "threads": _resolve_threads(args.threads),
     }
     _write_manifest(outdir, "detect", params, outputs)
     return 0
@@ -132,7 +122,6 @@ def _cmd_denoise(args) -> int:
         "mode": args.mode,
         "clean": args.clean,
         "seed": args.seed,
-        "threads": _resolve_threads(args.threads),
     }
     _write_manifest(
         outdir,
@@ -188,7 +177,6 @@ def _cmd_lattice(args) -> int:
         "n_iter": args.iters,
         "init": args.init,
         "seed": args.seed,
-        "threads": _resolve_threads(args.threads),
     }
     try:
         graph = lattice.build_graph(result.d_map, result.as_values)
@@ -270,7 +258,6 @@ def _cmd_rank(args) -> int:
         "delta_b": args.dB,
         "n_iter": args.iters,
         "seed": args.seed,
-        "threads": _resolve_threads(args.threads),
     }
     _write_manifest(outdir, "rank", params, {"ranking": str(rank_path)})
     return 0
@@ -304,7 +291,6 @@ def _cmd_sample(args) -> int:
         "white": args.white,
         "std": args.std,
         "seed": args.seed,
-        "threads": _resolve_threads(args.threads),
     }
     _write_manifest(outdir, "sample", params, {"sample": str(out_img)})
     return 0
@@ -321,12 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=0, help="master 64-bit seed")
-        sp.add_argument(
-            "--threads",
-            default=None,
-            help="thread budget (or 'auto'); REDLAB_THREADS is the fallback. "
-            "Recorded in the manifest; outputs never depend on it.",
-        )
 
     d = sub.add_parser("detect", help="offset redundancy detection maps")
     d.add_argument("input", help="input PGM image")

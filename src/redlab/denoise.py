@@ -16,13 +16,14 @@ patch estimates at each position.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
 
 from .background import white_noise_law
-from .quadform import fit, quantile
+from .quadform import QuadFormLaw, fit, quantile
 
 __all__ = [
     "DenoiseConfig",
@@ -96,23 +97,19 @@ def nlmeans_a_priori_threshold(
     key = (p, c, float(nfa_max))
     if key in _threshold_cache:
         return _threshold_cache[key]
-    q = 1.0 - nfa_max / n_t
-    per_class: dict[tuple[int, int], float] = {}
-    a_map = np.zeros((2 * c + 1, 2 * c + 1))
     if nfa_max == 0.0:
-        a_map[:, :] = np.inf
+        a_map = np.full((2 * c + 1, 2 * c + 1), np.inf)
         a_map[c, c] = 0.0
         _threshold_cache[key] = (a_map, float(np.inf))
         return _threshold_cache[key]
-    for ty in range(-c, c + 1):
-        for tx in range(-c, c + 1):
-            if tx == 0 and ty == 0:
-                continue
-            cls = (min(abs(tx), abs(ty)), max(abs(tx), abs(ty)))
-            if cls not in per_class:
-                law = white_noise_law(p, (cls[1], cls[0]) if cls[0] == 0 else cls)
-                per_class[cls] = quantile(fit(law), q)
-            a_map[ty + c, tx + c] = per_class[cls]
+    ty, tx = np.abs(np.mgrid[-c : c + 1, -c : c + 1])
+    pairs = np.stack([np.minimum(tx, ty).ravel(), np.maximum(tx, ty).ravel()], axis=1)
+    classes, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    # One law per class (lo, hi); the origin class (0, 0) is the point mass.
+    laws = [white_noise_law(p, (hi, 0) if lo == 0 else (lo, hi)) for lo, hi in classes]
+    k1, k2, k3 = np.array([(law.k1, law.k2, law.k3) for law in laws]).T
+    per_class = quantile(fit(QuadFormLaw(k1, k2, k3)), 1.0 - nfa_max / n_t)
+    a_map = per_class[inverse.ravel()].reshape(2 * c + 1, 2 * c + 1)
     mean_a = float(a_map.sum() / (n_t - 1))
     result = (a_map, mean_a)
     _threshold_cache[key] = result
@@ -156,7 +153,7 @@ def _patch_distances(u: np.ndarray, p: int, tx: int, ty: int):
     return d, slice(ay_lo, ay_hi + 1), slice(ax_lo, ax_hi + 1)
 
 
-def _aggregate(u: np.ndarray, p: int, c: int, weights: list) -> np.ndarray:
+def _aggregate(u: np.ndarray, p: int, c: int, weights: Iterable) -> np.ndarray:
     """Pixel estimates from per-offset anchor weights (each summing to one
     over offsets at every anchor)."""
     h, w = u.shape
@@ -217,7 +214,8 @@ def nlmeans_threshold(u, cfg: DenoiseConfig, reference=None) -> DenoiseReport:
             acc[sy, sx] = d <= s2 * applied[ty + c, tx + c]
         counts += acc
         accepted.append((tx, ty, acc))
-    weights = [(tx, ty, acc / counts) for tx, ty, acc in accepted]
+    # A generator: one float weight map is alive at a time, not (2c+1)^2.
+    weights = ((tx, ty, acc / counts) for tx, ty, acc in accepted)
     denoised = _aggregate(u, p, c, weights)
     return DenoiseReport(
         denoised=denoised,

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from . import imgio
 from .background import MicrotextureModel, cumulants
@@ -55,10 +54,10 @@ def threshold_a(model: MicrotextureModel, t, patch: PatchDomain, q: float) -> fl
 class OffsetLawTable:
     """Fitted law parameters for every offset of a map shape.
 
-    ``kind`` codes the per-offset evaluation branch (0 beta-prime fit,
-    1 scaled chi-square fallback, 2 point mass); ``p0, p1`` hold the two
-    shape/scale parameters of the active branch and ``scale`` the
-    beta-prime scale.
+    ``kind``, ``p0``, ``p1`` and ``scale`` are the ``(h, w)`` fields of
+    one array :class:`~redlab.quadform.WoodFParams` (:attr:`params`), so
+    the maps evaluate through :func:`~redlab.quadform.cdf` and
+    :func:`~redlab.quadform.quantile`; the table only applies ``mask``.
     """
 
     shape: tuple[int, int]
@@ -67,6 +66,11 @@ class OffsetLawTable:
     p1: np.ndarray
     scale: np.ndarray
     mask: np.ndarray | None = None
+
+    @property
+    def params(self) -> WoodFParams:
+        """The table's laws as one array fit, indexed like an offset map."""
+        return WoodFParams(self.kind, self.p0, self.p1, self.scale)
 
     def params_at(self, t) -> WoodFParams:
         h, w = self.shape
@@ -84,71 +88,18 @@ class OffsetLawTable:
         }
 
     def cdf_map(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized CDF of each offset's law at the given statistic map.
+        """CDF of each offset's law at the given statistic map.
 
         Masked offsets get probability 1 (never detected).
         """
-        v = np.asarray(values, dtype=np.float64)
-        out = np.ones(self.shape)
-        wood = self.kind == KIND_WOOD
-        gam = self.kind == KIND_GAMMA
-        if self.mask is not None:
-            wood &= self.mask
-            gam &= self.mask
-        if np.any(wood):
-            y = v[wood] / self.scale[wood]
-            out[wood] = special.betainc(self.p0[wood], self.p1[wood], y / (1.0 + y))
-        if np.any(gam):
-            out[gam] = special.gammainc(
-                self.p0[gam] / 2.0, v[gam] / (2.0 * self.p1[gam])
-            )
-        pos = self.kind != KIND_POINT
-        out[pos & (v <= 0.0)] = 0.0
+        out = cdf(self.params, values)
         if self.mask is not None:
             out[~self.mask] = 1.0
         return out
 
     def quantile_map(self, q: float) -> np.ndarray:
-        """Vectorized per-offset quantiles (0 for point-mass offsets)."""
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile level must be in (0,1), got {q}")
-        live = self.kind != KIND_POINT
-        if self.mask is not None:
-            live &= self.mask
-        out = np.zeros(self.shape)
-        if not np.any(live):
-            return out
-        k = self.kind[live]
-        p0 = self.p0[live]
-        p1 = self.p1[live]
-        sc = self.scale[live]
-        wood = k == KIND_WOOD
-
-        def vec_cdf(x: np.ndarray) -> np.ndarray:
-            res = np.empty_like(x)
-            y = x[wood] / sc[wood]
-            res[wood] = special.betainc(p0[wood], p1[wood], y / (1.0 + y))
-            g = ~wood
-            res[g] = special.gammainc(p0[g] / 2.0, x[g] / (2.0 * p1[g]))
-            return res
-
-        mean = np.where(wood, sc * p0 / np.maximum(p1 - 1.0, 1e-12), p0 * p1)
-        hi = np.maximum(mean, 1.0)
-        for _ in range(200):
-            low = vec_cdf(hi) < q
-            if not np.any(low):
-                break
-            hi[low] *= 2.0
-        else:
-            raise ArithmeticError("quantile bracket expansion failed")
-        lo = np.zeros_like(hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            above = vec_cdf(mid) >= q
-            hi[above] = mid[above]
-            lo[~above] = mid[~above]
-        out[live] = hi
-        return out
+        """Per-offset ``q``-quantiles (0 for point-mass and masked offsets)."""
+        return np.where(self.live_mask(), quantile(self.params, q), 0.0)
 
     def live_mask(self) -> np.ndarray:
         """Offsets that can ever be detected: evaluated and nondegenerate."""

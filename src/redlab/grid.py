@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "PatchDomain",
     "as_map",
-    "as_map_naive",
     "auto_similarity",
     "autocorrelation",
     "centered_coords",
@@ -174,20 +173,6 @@ def as_map(u, patch: PatchDomain) -> np.ndarray:
     out = term1 - 2.0 * term2 + term1[0, 0]
     clamp = AS_CLAMP_REL * float(np.sum(u * u))
     out[out < clamp] = 0.0
-    return out
-
-
-def as_map_naive(u, patch: PatchDomain) -> np.ndarray:
-    """Loop evaluation of the auto-similarity map (test oracle)."""
-    u = _as_image(u)
-    h, w = u.shape
-    c = patch.coords()
-    base = u[c[:, 1] % h, c[:, 0] % w]
-    out = np.empty((h, w))
-    for ty in range(h):
-        for tx in range(w):
-            shifted = u[(c[:, 1] + ty) % h, (c[:, 0] + tx) % w]
-            out[ty, tx] = np.sum((shifted - base) ** 2)
     return out
 
 

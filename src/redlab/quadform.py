@@ -6,7 +6,11 @@ cumulants.  CDF and quantile evaluation go through the Wood F method: a
 three-moment fit of a scaled beta-prime (Fisher-Snedecor) distribution.
 Near-chi-square laws, for which the F fit degenerates, fall back to a
 two-moment scaled chi-square fit; the zero law is an explicit point mass.
-A seeded Monte-Carlo CDF is provided as an independent oracle.
+
+:func:`fit`, :func:`cdf` and :func:`quantile` work elementwise on arrays
+of laws, and a scalar law is their 0-d case, so one code path serves a
+single offset and a whole offset map.  :func:`quantile` brackets by
+doubling and bisects each law until its bracket is two adjacent floats.
 """
 
 from __future__ import annotations
@@ -16,12 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-__all__ = ["QuadFormLaw", "WoodFParams", "fit", "cdf", "quantile", "mc_cdf"]
+__all__ = ["QuadFormLaw", "WoodFParams", "fit", "cdf", "quantile"]
 
 # Fits with alpha2 beyond this are numerically indistinguishable from the
 # gamma limit while stressing the incomplete beta routine; reroute them.
 _ALPHA2_CAP = 1e7
 _NEG_CUMULANT_TOL = 1e-10
+# Quantile bracket doublings from max(mean, 1); 2**1000 is still finite.
+_MAX_DOUBLINGS = 1000
 
 
 @dataclass(frozen=True)
@@ -151,74 +157,65 @@ def fit(law: QuadFormLaw) -> WoodFParams:
     return WoodFParams(kind.astype(np.uint8), p0, p1, scale)
 
 
-def cdf(params: WoodFParams, x: float) -> float:
-    """CDF of the fitted law at ``x``; monotone, 0 below the support."""
-    if params.kind == KIND_POINT:
-        return 1.0 if x >= 0.0 else 0.0
-    if x <= 0.0:
-        return 0.0
-    if params.kind == KIND_WOOD:
-        y = x / params.scale
-        return float(special.betainc(params.p0, params.p1, y / (1.0 + y)))
-    return float(special.gammainc(params.p0 / 2.0, x / (2.0 * params.p1)))
+def cdf(params: WoodFParams, x):
+    """CDF of the fitted law at ``x``; monotone, 0 below the support.
+
+    ``params`` and ``x`` broadcast against each other (one law at many
+    points, or one point per law of an array fit); a 0-d result is a
+    Python float.
+    """
+    kind, p0, p1, scale, x = np.broadcast_arrays(
+        params.kind, params.p0, params.p1, params.scale, np.asarray(x, dtype=np.float64)
+    )
+    out = np.where((kind == KIND_POINT) & (x >= 0.0), 1.0, 0.0)
+    wood = (kind == KIND_WOOD) & (x > 0.0)
+    gam = (kind == KIND_GAMMA) & (x > 0.0)
+    y = x[wood] / scale[wood]
+    out[wood] = special.betainc(p0[wood], p1[wood], y / (1.0 + y))
+    out[gam] = special.gammainc(p0[gam] / 2.0, x[gam] / (2.0 * p1[gam]))
+    return float(out) if out.ndim == 0 else out
 
 
-def _mean(params: WoodFParams) -> float:
-    if params.kind == KIND_WOOD:
-        return params.scale * params.p0 / (params.p1 - 1.0)
-    if params.kind == KIND_GAMMA:
-        return params.p0 * params.p1
-    return 0.0
+def _take(params: WoodFParams, index) -> WoodFParams:
+    return WoodFParams(*(a[index] for a in (params.kind, params.p0, params.p1, params.scale)))
 
 
-def quantile(params: WoodFParams, q: float) -> float:
-    """Generalized inverse CDF: ``inf{x : cdf(x) >= q}`` for ``q in (0,1)``.
+def quantile(params: WoodFParams, q: float):
+    """Generalized inverse CDF ``inf{x : cdf(x) >= q}`` for ``q in (0,1)``.
 
-    Bracketing bisection to 1e-10 relative width.
+    Elementwise over an array fit; a 0-d result is a Python float.  The
+    point mass gives 0.  Other laws are bracketed by doubling from
+    ``max(mean, 1)``, then bisected from 0 until the bracket is down to
+    adjacent floats: the result is the smallest float whose CDF reaches
+    ``q``.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0,1), got {q}")
-    if params.kind == KIND_POINT:
-        return 0.0
-    hi = max(_mean(params), 1.0)
-    for _ in range(2048):
-        if cdf(params, hi) >= q:
+    kind, p0, p1, scale = np.broadcast_arrays(params.kind, params.p0, params.p1, params.scale)
+    live = kind != KIND_POINT
+    law = WoodFParams(kind[live], p0[live], p1[live], scale[live])
+    # A fitted alpha2 exceeds 3; the floor keeps the unused Wood F means
+    # of gamma laws finite.
+    wood_mean = law.scale * law.p0 / np.maximum(law.p1 - 1.0, 1e-12)
+    hi = np.maximum(np.where(law.kind == KIND_WOOD, wood_mean, law.p0 * law.p1), 1.0)
+    todo = np.arange(hi.size)
+    for _ in range(_MAX_DOUBLINGS):
+        # NaN (an overflowed Wood F ratio) counts as below q.
+        todo = todo[~(cdf(_take(law, todo), hi[todo]) >= q)]
+        if todo.size == 0:
             break
-        hi *= 2.0
+        hi[todo] *= 2.0
     else:
         raise ArithmeticError("quantile bracket expansion failed")
-    lo = 0.0
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if cdf(params, mid) >= q:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def mc_cdf(eigenvalues, x, n_samples: int, seed: int) -> float | np.ndarray:
-    """Empirical CDF of ``sum lambda_k z_k^2`` at ``x`` over seeded draws.
-
-    ``x`` may be a scalar or an array of probe points (evaluated on the
-    same sample set).  Deterministic given ``seed``; draws are chunked so
-    memory stays bounded.
-    """
-    lam = np.asarray(eigenvalues, dtype=np.float64).ravel()
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(xs.shape, dtype=np.int64)
-    chunk = 1 << 16
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        z = rng.standard_normal((m, lam.size))
-        qf = np.square(z) @ lam
-        counts += (qf[:, None] <= xs[None, :]).sum(axis=0)
-        done += m
-    frac = counts / float(n_samples)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(frac[0])
-    return frac
+    lo = np.zeros_like(hi)
+    todo = np.arange(hi.size)
+    while todo.size:
+        mid = 0.5 * (lo[todo] + hi[todo])
+        gap = (mid != lo[todo]) & (mid != hi[todo])
+        todo, mid = todo[gap], mid[gap]
+        above = cdf(_take(law, todo), mid) >= q
+        hi[todo[above]] = mid[above]
+        lo[todo[~above]] = mid[~above]
+    out = np.zeros(kind.shape)
+    out[live] = hi
+    return float(out) if out.ndim == 0 else out

@@ -3,14 +3,21 @@
 These are the straightforward forms that the library's fast paths
 replace: the dense trace cumulants of the increment covariance ``C_t``
 (one ``n x n`` matrix and one ``n^3`` product per offset), the scalar
-three-branch law fit, and the per-offset loop that fills a law table.
-They depend only on numpy and on the model's autocorrelation, never on
-the code under test.
+three-branch law fit, the per-offset loop that fills a law table, the
+scalar law CDF and quantile with the vectorised table copies they once
+had, and the loop auto-similarity map.  Independent references live here
+too: the offset correlation and increment covariance matrix, and a
+seeded Monte-Carlo CDF.  They depend only on numpy, scipy's special
+functions, the model's autocorrelation and the patch coordinates, never
+on the code under test.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import special
+
+from redlab.background import COV_SIDE_CAP
 
 KIND_WOOD, KIND_GAMMA, KIND_POINT = 0, 1, 2
 
@@ -111,3 +118,188 @@ def loop_offset_laws(model, patch, mask=None):
             law = dense_cumulants(model, (ix, iy), patch)
             kind[iy, ix], p0[iy, ix], p1[iy, ix], scale[iy, ix] = scalar_fit(*law)
     return kind, p0, p1, scale
+
+
+# ------------------------------------------------------ maps and matrices
+
+
+def as_map_naive(u, patch) -> np.ndarray:
+    """Loop evaluation of the auto-similarity map."""
+    u = np.asarray(u, dtype=np.float64)
+    h, w = u.shape
+    c = patch.coords()
+    base = u[c[:, 1] % h, c[:, 0] % w]
+    out = np.empty((h, w))
+    for ty in range(h):
+        for tx in range(w):
+            shifted = u[(c[:, 1] + ty) % h, (c[:, 0] + tx) % w]
+            out[ty, tx] = np.sum((shifted - base) ** 2)
+    return out
+
+
+def delta_map(model, t) -> np.ndarray:
+    """Offset correlation ``x -> 2 Gamma(x) - Gamma(x+t) - Gamma(x-t)``.
+
+    The value at ``x = 0`` is clamped to be nonnegative (it is twice a
+    variance; FFT round-off may leave a tiny negative residue).
+    """
+    g = model.gamma
+    tx, ty = int(t[0]), int(t[1])
+    fwd = np.roll(g, shift=(-ty, -tx), axis=(0, 1))
+    bwd = np.roll(g, shift=(ty, tx), axis=(0, 1))
+    out = 2.0 * g - fwd - bwd
+    if out[0, 0] < 0.0:
+        if out[0, 0] < -1e-10 * max(1.0, abs(g[0, 0])):
+            raise ArithmeticError(f"delta(t,0) = {out[0, 0]} badly negative")
+        out[0, 0] = 0.0
+    return out
+
+
+def covariance_matrix(model, t, patch) -> np.ndarray:
+    """Covariance matrix of the increment field over the patch, entries
+    ``delta(t, x_i - x_j)`` in canonical patch order, under the library's
+    side cap."""
+    n = patch.size()
+    if n > COV_SIDE_CAP:
+        raise ValueError(f"patch size {n} exceeds covariance cap {COV_SIDE_CAP}")
+    d = delta_map(model, t)
+    h, w = model.shape
+    c = patch.coords()
+    dx = c[:, 0][:, None] - c[:, 0][None, :]
+    dy = c[:, 1][:, None] - c[:, 1][None, :]
+    m = d[dy % h, dx % w]
+    return 0.5 * (m + m.T)
+
+
+def mc_cdf(eigenvalues, x, n_samples: int, seed: int) -> float | np.ndarray:
+    """Empirical CDF of ``sum lambda_k z_k^2`` at ``x`` over seeded draws.
+
+    ``x`` may be a scalar or an array of probe points (evaluated on the
+    same sample set).  Deterministic given ``seed``; draws are chunked so
+    memory stays bounded.
+    """
+    lam = np.asarray(eigenvalues, dtype=np.float64).ravel()
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(xs.shape, dtype=np.int64)
+    chunk = 1 << 16
+    done = 0
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
+        z = rng.standard_normal((m, lam.size))
+        qf = np.square(z) @ lam
+        counts += (qf[:, None] <= xs[None, :]).sum(axis=0)
+        done += m
+    frac = counts / float(n_samples)
+    if np.isscalar(x) or np.asarray(x).ndim == 0:
+        return float(frac[0])
+    return frac
+
+
+# ------------------------------------------------------------ law evaluation
+#
+# Each takes anything with ``kind``/``p0``/``p1``/``scale`` (and, for the
+# maps, ``shape`` and ``mask``) attributes: a fit or a law table.
+
+
+def scalar_cdf(params, x: float) -> float:
+    """CDF of one fitted law, branch by branch."""
+    if params.kind == KIND_POINT:
+        return 1.0 if x >= 0.0 else 0.0
+    if x <= 0.0:
+        return 0.0
+    if params.kind == KIND_WOOD:
+        y = x / params.scale
+        return float(special.betainc(params.p0, params.p1, y / (1.0 + y)))
+    return float(special.gammainc(params.p0 / 2.0, x / (2.0 * params.p1)))
+
+
+def scalar_quantile(params, q: float) -> float:
+    """Quantile of one fitted law: up to 2048 bracket doublings, then
+    bisection to 1e-10 relative width."""
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"quantile level must be in (0,1), got {q}")
+    if params.kind == KIND_POINT:
+        return 0.0
+    if params.kind == KIND_WOOD:
+        mean = params.scale * params.p0 / (params.p1 - 1.0)
+    else:
+        mean = params.p0 * params.p1
+    hi = max(mean, 1.0)
+    for _ in range(2048):
+        if scalar_cdf(params, hi) >= q:
+            break
+        hi *= 2.0
+    else:
+        raise ArithmeticError("quantile bracket expansion failed")
+    lo = 0.0
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if scalar_cdf(params, mid) >= q:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def table_cdf_map(table, values) -> np.ndarray:
+    """Vectorised CDF map of a law table; masked offsets get 1."""
+    v = np.asarray(values, dtype=np.float64)
+    out = np.ones(table.shape)
+    wood = table.kind == KIND_WOOD
+    gam = table.kind == KIND_GAMMA
+    if table.mask is not None:
+        wood &= table.mask
+        gam &= table.mask
+    if np.any(wood):
+        y = v[wood] / table.scale[wood]
+        out[wood] = special.betainc(table.p0[wood], table.p1[wood], y / (1.0 + y))
+    if np.any(gam):
+        out[gam] = special.gammainc(table.p0[gam] / 2.0, v[gam] / (2.0 * table.p1[gam]))
+    out[(table.kind != KIND_POINT) & (v <= 0.0)] = 0.0
+    if table.mask is not None:
+        out[~table.mask] = 1.0
+    return out
+
+
+def table_quantile_map(table, q: float) -> np.ndarray:
+    """Vectorised quantile map of a law table: up to 200 bracket doublings
+    and a fixed 80 halvings; 0 at point-mass and masked offsets."""
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"quantile level must be in (0,1), got {q}")
+    live = table.kind != KIND_POINT
+    if table.mask is not None:
+        live &= table.mask
+    out = np.zeros(table.shape)
+    if not np.any(live):
+        return out
+    k, p0, p1, sc = (a[live] for a in (table.kind, table.p0, table.p1, table.scale))
+    wood = k == KIND_WOOD
+
+    def vec_cdf(x: np.ndarray) -> np.ndarray:
+        res = np.empty_like(x)
+        y = x[wood] / sc[wood]
+        res[wood] = special.betainc(p0[wood], p1[wood], y / (1.0 + y))
+        g = ~wood
+        res[g] = special.gammainc(p0[g] / 2.0, x[g] / (2.0 * p1[g]))
+        return res
+
+    mean = np.where(wood, sc * p0 / np.maximum(p1 - 1.0, 1e-12), p0 * p1)
+    hi = np.maximum(mean, 1.0)
+    for _ in range(200):
+        low = vec_cdf(hi) < q
+        if not np.any(low):
+            break
+        hi[low] *= 2.0
+    else:
+        raise ArithmeticError("quantile bracket expansion failed")
+    lo = np.zeros_like(hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        above = vec_cdf(mid) >= q
+        hi[above] = mid[above]
+        lo[~above] = mid[~above]
+    out[live] = hi
+    return out

@@ -11,9 +11,9 @@ import math
 import time
 
 import numpy as np
+from oracles import covariance_matrix, mc_cdf
 
 from redlab.background import (
-    covariance_matrix,
     cumulants,
     from_exemplar,
     sample,
@@ -38,7 +38,7 @@ from redlab.lattice import (
     update_basis,
     update_coeffs,
 )
-from redlab.quadform import QuadFormLaw, cdf, fit, mc_cdf, quantile
+from redlab.quadform import QuadFormLaw, cdf, fit, quantile
 
 
 class Budget:

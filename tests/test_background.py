@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
+from oracles import covariance_matrix, delta_map
 
 from redlab.background import (
-    covariance_matrix,
     cumulants,
-    delta_map,
     from_exemplar,
     load_model,
     sample,

@@ -253,23 +253,15 @@ def test_sample_validation(tmp_path, stripe_image):
     )
 
 
-def test_threads_flag_does_not_change_bytes(tmp_path, stripe_image, monkeypatch):
+def test_threads_flag_is_rejected(tmp_path, stripe_image):
     path, _ = stripe_image
-    outs = []
-    for i, threads in enumerate(("1", "8")):
-        out = tmp_path / f"t{i}"
-        rc = main(
-            ["detect", str(path), "--patch", "2,2,4", "--out", str(out),
-             "--threads", threads]
-        )
-        assert rc == 0
-        outs.append((out / "P_map.pfm").read_bytes())
-    assert outs[0] == outs[1]
-    monkeypatch.setenv("REDLAB_THREADS", "3")
-    out = tmp_path / "env"
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", str(path), "--patch", "2,2,4", "--out", str(out), "--threads", "2"])
+    assert exc.value.code == 2
     assert main(["detect", str(path), "--patch", "2,2,4", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["params"]["threads"] == "3"
+    assert "threads" not in manifest["params"]
 
 
 # ----------------------------------------------------------- bad inputs
@@ -293,3 +285,77 @@ def test_truncated_header_exits_2_naming_the_file(tmp_path, capsys, argv):
     argv = [a.format(bad=bad, dir=imgdir) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert "b_cut.pgm" in capsys.readouterr().err
+
+
+# ------------------------------------------------------- edge geometries
+
+
+def _edge_images(tmp_path) -> dict:
+    # One image per folder, so rank can take a folder.
+    rng = np.random.default_rng(12)
+    images = {
+        "tiny": rng.integers(0, 256, (6, 6)).astype(np.float64),
+        "row": rng.integers(0, 256, (1, 32)).astype(np.float64),
+        "column": rng.integers(0, 256, (32, 1)).astype(np.float64),
+        "constant": np.full((16, 16), 77.0),
+    }
+    paths = {}
+    for name in ("board", *images):
+        (tmp_path / name).mkdir()
+        paths[name] = tmp_path / name / f"{name}.pgm"
+    board_image(paths["board"], cell=4, n=32)
+    for name, u in images.items():
+        write_pgm(paths[name], u)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "{board}", "--patch", "0,0,1"],
+        ["lattice", "{board}", "--patch", "0,0,1"],
+        ["rank", "{board_dir}", "--p", "1", "--K", "5"],
+        ["detect", "{tiny}", "--patch", "0,0,9"],
+        ["detect", "{row}", "--patch", "0,0,4"],
+        ["detect", "{column}", "--patch", "0,0,4"],
+        ["lattice", "{row}", "--patch", "0,0,4"],
+        ["lattice", "{column}", "--patch", "0,0,4"],
+        ["detect", "{board}", "--patch", "0,0,4", "--mask", "64"],
+    ],
+)
+def test_edge_geometry_runs(tmp_path, capsys, argv):
+    # p = 1, a patch larger than the image, 1 x N and N x 1 images, and a
+    # stride mask coarser than the image all give a defined result.
+    paths = _edge_images(tmp_path)
+    fields = {**paths, "board_dir": paths["board"].parent}
+    argv = [a.format(**fields) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["row", "column"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["denoise", "{image}", "--sigma", "10", "--p", "4", "--c", "2"],
+        ["rank", "{folder}", "--p", "4", "--K", "3"],
+    ],
+)
+def test_edge_geometry_thin_images_exit_2(tmp_path, capsys, name, argv):
+    # Denoising and ranking use unwrapped p x p windows, which a 1-pixel
+    # side cannot hold.
+    image = _edge_images(tmp_path)[name]
+    argv = [a.format(image=image, folder=image.parent) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "smaller than" in capsys.readouterr().err
+
+
+def test_edge_geometry_constant_image(tmp_path):
+    path = _edge_images(tmp_path)["constant"]
+    out = tmp_path / "detect"
+    assert main(["detect", str(path), "--patch", "0,0,4", "--out", str(out)]) == 0
+    assert json.loads((out / "detection.json").read_text())["n_detected"] == 0
+    out = tmp_path / "lattice"
+    assert main(["lattice", str(path), "--patch", "0,0,4", "--out", str(out)]) == 0
+    fit = json.loads((out / "fit.json").read_text())
+    assert fit["status"] == "insufficient detections"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,22 @@ def test_image_smaller_than_patch_errors():
     cfg = DenoiseConfig(sigma=1.0, patch_side=9, search_radius=2, nfa_max=1.0)
     with pytest.raises(ValueError):
         nlmeans_threshold(np.zeros((5, 5)), cfg)
+
+
+def test_weight_maps_are_not_held_at_once():
+    # 441 float64 weight maps of 121^2 anchors would take 49 MiB together;
+    # aggregating them one at a time keeps the peak near the boolean maps.
+    rng = np.random.default_rng(13)
+    u = 128.0 + 40.0 * rng.standard_normal((128, 128))
+    cfg = DenoiseConfig(sigma=20.0, patch_side=8, search_radius=10)
+    nlmeans_a_priori_threshold(8, 10, cfg.nfa_max)  # cached before tracing
+    tracemalloc.start()
+    try:
+        nlmeans_threshold(u, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20
 
 
 # ------------------------------------------------------------- calibration

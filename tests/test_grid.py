@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import as_map_naive
 
 from redlab.grid import (
     PatchDomain,
     as_map,
-    as_map_naive,
     auto_similarity,
     autocorrelation,
     centered_coords,
