@@ -7,9 +7,7 @@ quadratic form in Gaussians whose matrix ``C_t`` is built from the offset
 correlation ``delta(t, x) = 2 Gamma(x) - Gamma(x+t) - Gamma(x-t)``, where
 ``Gamma`` is the autocorrelation of ``f``.  This module constructs models
 from an exemplar image or as white noise, evaluates the exact cumulants
-of the quadratic form, provides the closed-form white-noise
-eigenvalues for square patches, and samples from a model by spectral
-convolution.
+of the quadratic form, and samples from a model by spectral convolution.
 
 The cumulants are traces of powers of ``C_t``, with no eigendecomposition.
 For square patches ``C_t`` is block-Toeplitz with Toeplitz blocks, and
@@ -17,6 +15,11 @@ For square patches ``C_t`` is block-Toeplitz with Toeplitz blocks, and
 ``delta`` at the patch differences, for a whole chunk of offsets at once
 and without forming ``C_t``.  Explicit coordinate-list patches use the
 dense traces of ``C_t``.
+
+Every law goes through :func:`cumulants`, the plane white-noise law of
+:func:`white_noise_law` included: it is the torus law on a torus too
+large to wrap.  The closed-form white-noise spectrum of square patches
+(:func:`white_noise_eigenvalues`) is the engine's independent oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ __all__ = [
     "sample",
     "save_model",
     "white_noise",
-    "white_noise_covariance",
     "white_noise_eigenvalue_blocks",
     "white_noise_eigenvalues",
     "white_noise_law",
@@ -258,17 +260,6 @@ def cumulants(model: MicrotextureModel, t, patch: PatchDomain) -> QuadFormLaw:
     return QuadFormLaw(k1=k1, k2=k2, k3=k3)
 
 
-def white_noise_covariance(p: int, t) -> np.ndarray:
-    """Increment covariance for unit white noise on the plane (no wrap),
-    square ``p x p`` patch, canonical order."""
-    dx, dy = _coordinate_differences(PatchDomain(side=p))
-    tx, ty = int(t[0]), int(t[1])
-    out = 2.0 * ((dx == 0) & (dy == 0)).astype(np.float64)
-    out -= ((dx == tx) & (dy == ty)).astype(np.float64)
-    out -= ((dx == -tx) & (dy == -ty)).astype(np.float64)
-    return out
-
-
 def white_noise_eigenvalue_blocks(p: int, t) -> list[tuple[int, int, float, int]]:
     """Closed-form spectrum of the white-noise increment covariance, as
     ``(m, k, eigenvalue, multiplicity)`` blocks.
@@ -324,22 +315,20 @@ def white_noise_eigenvalues(p: int, t) -> list[tuple[float, int]]:
 
 
 def white_noise_law(p: int, t) -> QuadFormLaw:
-    """Auto-similarity law under unit white noise on the plane.
+    """Auto-similarity law under unit white noise on the plane, for a
+    square ``p x p`` patch.
 
-    Uses the closed-form eigenvalues when both offset components are
-    nonzero, the exact non-overlap law when the offset clears the patch,
-    and dense-covariance traces for axis-aligned overlapping offsets.
+    ``t`` is one offset or an ``(m, 2)`` array of offsets, as in
+    :func:`cumulants`.  The law depends on ``|tx|`` and ``|ty|`` only, and
+    not at all once the offset clears the patch, so each is clipped at
+    ``p``.  On the white-noise torus of side ``p + max|t|``, every
+    component of ``x``, ``x + t`` and ``x - t`` is smaller than the side in
+    absolute value for each patch difference ``x``, so nothing wraps: the
+    torus law that the engine evaluates is the plane law.
     """
-    tx, ty = int(t[0]), int(t[1])
-    if tx == 0 and ty == 0:
-        return QuadFormLaw(0.0, 0.0, 0.0)
-    if max(abs(tx), abs(ty)) >= p or (tx != 0 and ty != 0):
-        return QuadFormLaw.from_eigenvalues(white_noise_eigenvalues(p, t))
-    c = white_noise_covariance(p, t)
-    k1 = float(np.trace(c))
-    k2 = 2.0 * float(np.sum(c * c))
-    k3 = 8.0 * float(np.sum(c * (c @ c)))
-    return QuadFormLaw(k1=k1, k2=k2, k3=k3)
+    offsets = np.minimum(np.abs(np.asarray(t, dtype=np.int64)), p)
+    side = p + int(offsets.max(initial=0))
+    return cumulants(white_noise((side, side)), offsets, PatchDomain(side=p))
 
 
 def sample(model: MicrotextureModel, seed_or_rng) -> np.ndarray:

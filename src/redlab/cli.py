@@ -3,8 +3,9 @@
 Subcommands: ``detect`` (offset redundancy maps), ``denoise`` (threshold
 NL-means), ``lattice`` (basis extraction), ``rank`` (periodicity ranking
 of a directory of images) and ``sample`` (background-model draws).  Every
-run writes a ``manifest.json`` capturing the resolved parameters and the
-seed; rerunning with the same manifest reproduces outputs byte for byte.
+run writes a ``manifest.json`` capturing the resolved parameters (and the
+seed of the seeded commands); rerunning with the same manifest reproduces
+outputs byte for byte.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -77,7 +78,6 @@ def _cmd_detect(args) -> int:
         "nfa_max": args.nfa,
         "model": args.model,
         "mask_stride": args.mask,
-        "seed": args.seed,
     }
     _write_manifest(outdir, "detect", params, outputs)
     return 0
@@ -121,7 +121,6 @@ def _cmd_denoise(args) -> int:
         "search_radius": args.c,
         "mode": args.mode,
         "clean": args.clean,
-        "seed": args.seed,
     }
     _write_manifest(
         outdir,
@@ -304,9 +303,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, seed=True):
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=0, help="master 64-bit seed")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0, help="master 64-bit seed")
 
     d = sub.add_parser("detect", help="offset redundancy detection maps")
     d.add_argument("input", help="input PGM image")
@@ -314,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--nfa", type=float, default=1.0, help="NFA budget")
     d.add_argument("--model", choices=("white", "exemplar"), default="exemplar")
     d.add_argument("--mask", type=int, default=None, help="offset stride mask")
-    common(d)
+    common(d, seed=False)
     d.set_defaults(func=_cmd_detect)
 
     n = sub.add_parser("denoise", help="threshold NL-means denoising")
@@ -327,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("constant-mean", "per-offset"), default="constant-mean"
     )
     n.add_argument("--clean", default=None, help="clean reference for PSNR")
-    common(n)
+    common(n, seed=False)
     n.set_defaults(func=_cmd_denoise)
 
     la = sub.add_parser("lattice", help="lattice extraction")

@@ -20,10 +20,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .background import white_noise_law
-from .quadform import QuadFormLaw, fit, quantile
+from .quadform import fit, quantile
 
 __all__ = [
     "DenoiseConfig",
@@ -106,9 +106,7 @@ def nlmeans_a_priori_threshold(
     pairs = np.stack([np.minimum(tx, ty).ravel(), np.maximum(tx, ty).ravel()], axis=1)
     classes, inverse = np.unique(pairs, axis=0, return_inverse=True)
     # One law per class (lo, hi); the origin class (0, 0) is the point mass.
-    laws = [white_noise_law(p, (hi, 0) if lo == 0 else (lo, hi)) for lo, hi in classes]
-    k1, k2, k3 = np.array([(law.k1, law.k2, law.k3) for law in laws]).T
-    per_class = quantile(fit(QuadFormLaw(k1, k2, k3)), 1.0 - nfa_max / n_t)
+    per_class = quantile(fit(white_noise_law(p, classes)), 1.0 - nfa_max / n_t)
     a_map = per_class[inverse.ravel()].reshape(2 * c + 1, 2 * c + 1)
     mean_a = float(a_map.sum() / (n_t - 1))
     result = (a_map, mean_a)
@@ -249,13 +247,19 @@ def nlmeans_classic(u, cfg: DenoiseConfig, h_bandwidth: float) -> DenoiseReport:
         w_t[sy, sx] = np.exp(-d / h2)
         z += w_t
         raw.append((tx, ty, w_t))
-    weights = [(tx, ty, w_t / z) for tx, ty, w_t in raw]
-    denoised = _aggregate(u, p, c, weights)
     sel = np.zeros(n_anchors)
     total = np.zeros(n_anchors)
-    for _, _, w_t in weights:
-        sel += w_t > 0
-        total += w_t
+
+    def normalized():
+        # One normalized map is alive at a time, beside the raw list.
+        nonlocal sel, total
+        for tx, ty, w_t in raw:
+            w_t = w_t / z
+            sel += w_t > 0
+            total += w_t
+            yield tx, ty, w_t
+
+    denoised = _aggregate(u, p, c, normalized())
     return DenoiseReport(
         denoised=denoised,
         selected_counts=sel,
@@ -295,5 +299,5 @@ def reconstruction_bound(cfg: DenoiseConfig, eps: float) -> float:
         cfg.patch_side, cfg.search_radius, cfg.nfa_max
     )
     a_t = float(a_map.max())
-    a_w = float(stats.chi2.ppf(1.0 - eps, df=cfg.patch_side**2))
+    a_w = float(special.chdtri(cfg.patch_side**2, eps))
     return cfg.sigma * (math.sqrt(a_t) + math.sqrt(a_w))

@@ -72,13 +72,6 @@ class OffsetLawTable:
         """The table's laws as one array fit, indexed like an offset map."""
         return WoodFParams(self.kind, self.p0, self.p1, self.scale)
 
-    def params_at(self, t) -> WoodFParams:
-        h, w = self.shape
-        i = (t[1] % h, t[0] % w)
-        return WoodFParams(
-            int(self.kind[i]), float(self.p0[i]), float(self.p1[i]), float(self.scale[i])
-        )
-
     def fallback_counts(self) -> dict:
         sel = self.mask if self.mask is not None else np.ones(self.shape, bool)
         return {

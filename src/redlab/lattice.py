@@ -344,12 +344,19 @@ def rank_textures(
     records are sorted by ascending score; images with no successful
     anchor are reported unranked and sort last (ties keep input order).
     """
-    records = []
+    images = [np.asarray(u, dtype=np.float64) for u in images]
+    # Validate every image before the first law table is built.
     for idx, u in enumerate(images):
-        u = np.asarray(u, dtype=np.float64)
         h, w = u.shape
         if h < patch_side or w < patch_side:
             raise ValueError(f"image {idx} smaller than the patch")
+        if not 0.0 < nfa_max / (h * w) < 1.0:
+            raise ValueError(
+                f"nfa_max = {nfa_max} must lie in (0, |domain|) = (0, {h * w}) for image {idx}"
+            )
+    records = []
+    for idx, u in enumerate(images):
+        h, w = u.shape
         model = from_exemplar(u)
         patch0 = PatchDomain(anchor=(0, 0), side=patch_side)
         laws = offset_laws(model, patch0, mask=mask)

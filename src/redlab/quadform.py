@@ -32,8 +32,7 @@ _MAX_DOUBLINGS = 1000
 
 @dataclass(frozen=True)
 class QuadFormLaw:
-    """First three cumulants of ``sum lambda_k Z_k``, plus the eigenvalues
-    when they are known explicitly (as ``(value, multiplicity)`` pairs).
+    """First three cumulants of ``sum lambda_k Z_k``.
 
     The cumulants may also be equal-shape arrays, one law per entry.
     """
@@ -41,15 +40,16 @@ class QuadFormLaw:
     k1: float
     k2: float
     k3: float
-    eigenvalues: tuple[tuple[float, int], ...] | None = None
 
     @classmethod
     def from_eigenvalues(cls, pairs) -> "QuadFormLaw":
-        pairs = tuple((float(v), int(m)) for v, m in pairs)
+        """The law of an explicit spectrum of ``(value, multiplicity)``
+        pairs."""
+        pairs = [(float(v), int(m)) for v, m in pairs]
         s1 = sum(v * m for v, m in pairs)
         s2 = sum(v * v * m for v, m in pairs)
         s3 = sum(v * v * v * m for v, m in pairs)
-        return cls(k1=s1, k2=2.0 * s2, k3=8.0 * s3, eigenvalues=pairs)
+        return cls(k1=s1, k2=2.0 * s2, k3=8.0 * s3)
 
     @property
     def degenerate(self) -> bool:
@@ -60,7 +60,6 @@ class QuadFormLaw:
 KIND_WOOD = 0  # beta-prime (Wood F) three-moment fit
 KIND_GAMMA = 1  # two-moment scaled chi-square fallback
 KIND_POINT = 2  # point mass at zero
-_FALLBACK_NAMES = ("none", "gamma-two-moment", "point-mass")
 
 
 @dataclass(frozen=True)
@@ -68,39 +67,17 @@ class WoodFParams:
     """Parameters of the fitted CDF of one law, or of an array of laws.
 
     ``kind`` codes the branch.  For ``KIND_WOOD`` (the beta-prime fit)
-    ``p0``, ``p1`` are the shapes ``alpha1``, ``alpha2`` and ``scale`` is
-    ``beta``; for ``KIND_GAMMA`` (the scaled chi-square fallback) ``p0``
+    ``p0``, ``p1`` are the two shape parameters and ``scale`` is the
+    scale; for ``KIND_GAMMA`` (the scaled chi-square fallback) ``p0``
     is the degrees of freedom and ``p1`` the multiplier; ``KIND_POINT`` is
     the zero law.  Fields are scalars for one law and equal-shape arrays
-    for many; ``fallback`` and the Wood F shapes ``alpha1``, ``alpha2``,
-    ``beta`` read a scalar fit.
+    for many.
     """
 
     kind: int | np.ndarray
     p0: float | np.ndarray = 0.0
     p1: float | np.ndarray = 0.0
     scale: float | np.ndarray = 0.0
-
-    @property
-    def fallback(self) -> str:
-        """``"none"`` (beta-prime fit), ``"gamma-two-moment"`` or
-        ``"point-mass"``."""
-        return _FALLBACK_NAMES[int(self.kind)]
-
-    def _branch(self, kind: int, value) -> float:
-        return float(value) if int(self.kind) == kind else 0.0
-
-    @property
-    def alpha1(self) -> float:
-        return self._branch(KIND_WOOD, self.p0)
-
-    @property
-    def alpha2(self) -> float:
-        return self._branch(KIND_WOOD, self.p1)
-
-    @property
-    def beta(self) -> float:
-        return self._branch(KIND_WOOD, self.scale)
 
 
 def fit(law: QuadFormLaw) -> WoodFParams:

@@ -6,10 +6,10 @@ replace: the dense trace cumulants of the increment covariance ``C_t``
 three-branch law fit, the per-offset loop that fills a law table, the
 scalar law CDF and quantile with the vectorised table copies they once
 had, and the loop auto-similarity map.  Independent references live here
-too: the offset correlation and increment covariance matrix, and a
-seeded Monte-Carlo CDF.  They depend only on numpy, scipy's special
-functions, the model's autocorrelation and the patch coordinates, never
-on the code under test.
+too: the offset correlation and increment covariance matrix, the dense
+white-noise increment covariance on the plane, and a seeded Monte-Carlo
+CDF.  They depend only on numpy, scipy's special functions, the model's
+autocorrelation and the patch coordinates, never on the code under test.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 from scipy import special
 
 from redlab.background import COV_SIDE_CAP
+from redlab.grid import PatchDomain
 
 KIND_WOOD, KIND_GAMMA, KIND_POINT = 0, 1, 2
 
@@ -169,6 +170,19 @@ def covariance_matrix(model, t, patch) -> np.ndarray:
     dy = c[:, 1][:, None] - c[:, 1][None, :]
     m = d[dy % h, dx % w]
     return 0.5 * (m + m.T)
+
+
+def white_noise_covariance(p: int, t) -> np.ndarray:
+    """Increment covariance for unit white noise on the plane (no wrap),
+    square ``p x p`` patch, canonical order."""
+    c = PatchDomain(side=p).coords()
+    dx = c[:, 0][:, None] - c[:, 0][None, :]
+    dy = c[:, 1][:, None] - c[:, 1][None, :]
+    tx, ty = int(t[0]), int(t[1])
+    out = 2.0 * ((dx == 0) & (dy == 0)).astype(np.float64)
+    out -= ((dx == tx) & (dy == ty)).astype(np.float64)
+    out -= ((dx == -tx) & (dy == -ty)).astype(np.float64)
+    return out
 
 
 def mc_cdf(eigenvalues, x, n_samples: int, seed: int) -> float | np.ndarray:

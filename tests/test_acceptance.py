@@ -11,13 +11,12 @@ import math
 import time
 
 import numpy as np
-from oracles import covariance_matrix, mc_cdf
+from oracles import covariance_matrix, mc_cdf, white_noise_covariance
 
 from redlab.background import (
     cumulants,
     from_exemplar,
     sample,
-    white_noise_covariance,
     white_noise_eigenvalue_blocks,
 )
 from redlab.denoise import (

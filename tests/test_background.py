@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from oracles import covariance_matrix, delta_map
+from oracles import covariance_matrix, delta_map, white_noise_covariance
 
 from redlab.background import (
     cumulants,
@@ -9,7 +11,6 @@ from redlab.background import (
     sample,
     save_model,
     white_noise,
-    white_noise_covariance,
     white_noise_eigenvalues,
     white_noise_law,
 )
@@ -265,6 +266,49 @@ def test_white_noise_law_axis_offset_matches_dense():
     assert law.k1 == pytest.approx(ref.k1, rel=1e-10)
     assert law.k2 == pytest.approx(ref.k2, rel=1e-10)
     assert law.k3 == pytest.approx(ref.k3, rel=1e-8)
+
+
+def _white_noise_oracle(p: int, t) -> QuadFormLaw:
+    """The plane white-noise law from oracles independent of the engine: the
+    eigenvalue 2 with multiplicity ``p^2`` once the offset clears the patch,
+    the closed-form spectrum when both components are nonzero, and the
+    dense traces of the increment covariance on the axes."""
+    tx, ty = abs(t[0]), abs(t[1])
+    if max(tx, ty) >= p:
+        return QuadFormLaw.from_eigenvalues([(2.0, p * p)])
+    if tx and ty:
+        return QuadFormLaw.from_eigenvalues(white_noise_eigenvalues(p, t))
+    c = white_noise_covariance(p, t)
+    return QuadFormLaw(
+        float(np.trace(c)), 2.0 * float(np.sum(c * c)), 8.0 * float(np.sum(c * (c @ c)))
+    )
+
+
+@pytest.mark.parametrize("p", [*range(1, 11), 16, 20])
+def test_white_noise_law_matches_oracles(p):
+    offsets = [(tx, ty) for ty in range(-12, 13) for tx in range(-12, 13)]
+    oracle = [_white_noise_oracle(p, t) for t in offsets]
+    want = np.array([(law.k1, law.k2, law.k3) for law in oracle])
+    batch = white_noise_law(p, np.array(offsets))
+    got = np.stack([batch.k1, batch.k2, batch.k3], axis=1)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    for t, ref in zip(offsets, want):
+        law = white_noise_law(p, t)
+        assert isinstance(law.k1, float)
+        np.testing.assert_allclose([law.k1, law.k2, law.k3], ref, rtol=1e-12, atol=0.0)
+
+
+def test_white_noise_law_far_offsets_stay_small():
+    # Offsets past the patch all share the non-overlap law; the torus the
+    # engine runs on does not grow with them.
+    tracemalloc.start()
+    try:
+        law = white_noise_law(4, np.array([(4000, 1), (-2, 9000), (5, -5)]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    np.testing.assert_array_equal(np.stack([law.k1, law.k2, law.k3]).T, [[32.0, 128.0, 1024.0]] * 3)
 
 
 # ----------------------------------------------------------------- sampling

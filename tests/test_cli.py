@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +266,53 @@ def test_threads_flag_is_rejected(tmp_path, stripe_image):
     assert main(["detect", str(path), "--patch", "2,2,4", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert "threads" not in manifest["params"]
+
+
+@pytest.mark.parametrize("command", ["detect", "denoise"])
+def test_seed_flag_is_rejected_where_nothing_is_seeded(tmp_path, stripe_image, command):
+    path, _ = stripe_image
+    out = tmp_path / "out"
+    argv = {
+        "detect": ["detect", str(path), "--patch", "2,2,4"],
+        "denoise": ["denoise", str(path), "--sigma", "10", "--p", "4", "--c", "2"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out), "--seed", "3"])
+    assert exc.value.code == 2
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "seed" not in manifest["params"]
+
+
+@pytest.mark.parametrize("nfa", ["0", "-1", "5000"])
+def test_rank_rejects_nfa_before_any_law_table(tmp_path, capsys, monkeypatch, nfa):
+    import redlab.lattice
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("law table built before --nfa was checked")
+
+    monkeypatch.setattr(redlab.lattice, "offset_laws", no_table)
+    imgdir = tmp_path / "imgs"
+    imgdir.mkdir()
+    board_image(imgdir / "a_board.pgm")  # 48 x 48: 2304 offsets
+    rc = main(["rank", str(imgdir), "--K", "2", "--p", "8", "--nfa", nfa,
+               "--out", str(tmp_path / "out")])  # fmt: skip
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "nfa" in err
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    import redlab
+
+    src = str(Path(redlab.__file__).resolve().parents[1])
+    code = "import sys, redlab.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "False"
 
 
 # ----------------------------------------------------------- bad inputs

@@ -146,6 +146,22 @@ def test_weight_maps_are_not_held_at_once():
     assert peak < 25 * 2**20
 
 
+def test_classic_weight_maps_are_normalized_one_at_a_time():
+    # The 441 raw weight maps of 121^2 anchors take 49 MiB; a second list
+    # of normalized maps would double that.
+    rng = np.random.default_rng(13)
+    u = 128.0 + 40.0 * rng.standard_normal((128, 128))
+    cfg = DenoiseConfig(sigma=20.0, patch_side=8, search_radius=10)
+    tracemalloc.start()
+    try:
+        report = nlmeans_classic(u, cfg, h_bandwidth=20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert report.extra["weight_sum_max_err"] < 1e-12
+
+
 # ------------------------------------------------------------- calibration
 
 

@@ -16,7 +16,7 @@ from redlab.detect import (
 )
 from redlab.grid import PatchDomain
 from redlab.imgio import read_pfm, read_pgm
-from redlab.quadform import cdf, fit
+from redlab.quadform import KIND_WOOD, cdf, fit
 from redlab.background import cumulants
 
 
@@ -92,12 +92,12 @@ def test_table_matches_scalar_path():
     table = offset_laws(model, patch)
     for t in [(0, 0), (1, 0), (5, 7), (11, 11), (6, 6)]:
         scalar = fit(cumulants(model, t, patch))
-        tab = table.params_at(t)
-        assert tab.fallback == scalar.fallback
-        if scalar.fallback == "none":
-            assert tab.alpha1 == pytest.approx(scalar.alpha1, rel=1e-12)
-            assert tab.alpha2 == pytest.approx(scalar.alpha2, rel=1e-12)
-            assert tab.beta == pytest.approx(scalar.beta, rel=1e-12)
+        i = (t[1] % 12, t[0] % 12)
+        assert table.kind[i] == scalar.kind
+        if scalar.kind == KIND_WOOD:
+            assert table.p0[i] == pytest.approx(scalar.p0, rel=1e-12)
+            assert table.p1[i] == pytest.approx(scalar.p1, rel=1e-12)
+            assert table.scale[i] == pytest.approx(scalar.scale, rel=1e-12)
 
 
 def test_table_symmetry_under_negation():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from oracles import mc_cdf
 from scipy import stats
 
-from redlab.quadform import QuadFormLaw, cdf, fit, quantile
+from redlab.quadform import KIND_POINT, KIND_WOOD, QuadFormLaw, cdf, fit, quantile
 
 
 def random_law(rng, max_size=100):
@@ -33,7 +33,7 @@ def test_cumulants_from_eigenvalues(pairs):
 
 def test_degenerate_law_point_mass():
     params = fit(QuadFormLaw(0.0, 0.0, 0.0))
-    assert params.fallback == "point-mass"
+    assert params.kind == KIND_POINT
     assert cdf(params, 0.0) == 1.0
     assert cdf(params, 5.0) == 1.0
     assert cdf(params, -1e-9) == 0.0
@@ -71,8 +71,8 @@ def test_wood_solve_exact_moments():
     # moments against the targets.
     law = QuadFormLaw.from_eigenvalues([(1.0, 3), (5.0, 1)])
     params = fit(law)
-    assert params.fallback == "none"
-    a1, a2, b = params.alpha1, params.alpha2, params.beta
+    assert params.kind == KIND_WOOD
+    a1, a2, b = params.p0, params.p1, params.scale
     m1 = b * a1 / (a2 - 1)
     m2 = b**2 * a1 * (a1 + 1) / ((a2 - 1) * (a2 - 2))
     m3 = b**3 * a1 * (a1 + 1) * (a1 + 2) / ((a2 - 1) * (a2 - 2) * (a2 - 3))
@@ -108,7 +108,7 @@ def test_mean_recovered_by_quadrature():
     while checked < 5:
         _, law = random_law(rng, max_size=30)
         params = fit(law)
-        if params.fallback != "none":
+        if params.kind != KIND_WOOD:
             continue
         hi = quantile(params, 1 - 1e-9)
         xs = np.linspace(0, hi, 200_001)
