@@ -11,6 +11,12 @@ radius bounding the patch reconstruction error.
 Unlike detection, denoising never wraps patches: only windows fully inside
 the image take part, and the final pixel estimate averages the available
 patch estimates at each position.
+
+Offsets ``t`` and ``-t`` share one distance pass: the difference image of
+``-t`` is the exact negation of that of ``t``, so its patch distances are
+the same array on the anchor grid shifted by ``t``.  Each offset keeps its
+own threshold and float sums over offsets run in row-major order, so the
+outputs match a per-offset loop bit for bit.
 """
 
 from __future__ import annotations
@@ -100,74 +106,80 @@ def nlmeans_a_priori_threshold(
     if nfa_max == 0.0:
         a_map = np.full((2 * c + 1, 2 * c + 1), np.inf)
         a_map[c, c] = 0.0
-        _threshold_cache[key] = (a_map, float(np.inf))
-        return _threshold_cache[key]
-    ty, tx = np.abs(np.mgrid[-c : c + 1, -c : c + 1])
-    pairs = np.stack([np.minimum(tx, ty).ravel(), np.maximum(tx, ty).ravel()], axis=1)
-    classes, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    # One law per class (lo, hi); the origin class (0, 0) is the point mass.
-    per_class = quantile(fit(white_noise_law(p, classes)), 1.0 - nfa_max / n_t)
-    a_map = per_class[inverse.ravel()].reshape(2 * c + 1, 2 * c + 1)
-    mean_a = float(a_map.sum() / (n_t - 1))
-    result = (a_map, mean_a)
-    _threshold_cache[key] = result
-    return result
+        mean_a = math.inf
+    else:
+        ty, tx = np.abs(np.mgrid[-c : c + 1, -c : c + 1])
+        pairs = np.stack([np.minimum(tx, ty).ravel(), np.maximum(tx, ty).ravel()], axis=1)
+        classes, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        # One law per class (lo, hi); the origin class (0, 0) is the point mass.
+        per_class = quantile(fit(white_noise_law(p, classes)), 1.0 - nfa_max / n_t)
+        a_map = per_class[inverse.ravel()].reshape(2 * c + 1, 2 * c + 1)
+        mean_a = float(a_map.sum() / (n_t - 1))
+    a_map.flags.writeable = False  # the cached map is shared by every caller
+    _threshold_cache[key] = (a_map, mean_a)
+    return _threshold_cache[key]
 
 
-def _sliding_sum(img: np.ndarray, p: int) -> np.ndarray:
-    """Exact p x p window sums; output anchors at every valid top-left."""
-    s = np.cumsum(np.cumsum(np.pad(img, ((1, 0), (1, 0))), axis=0), axis=1)
+def _thresholds(cfg: DenoiseConfig) -> tuple[np.ndarray, float]:
+    """White-noise threshold map and mean for ``cfg``; ``nfa_max == |T|``
+    rejects every offset but the origin, so all thresholds are zero."""
+    if cfg.nfa_max == cfg.window_size:
+        return np.zeros((2 * cfg.search_radius + 1,) * 2), 0.0
+    return nlmeans_a_priori_threshold(cfg.patch_side, cfg.search_radius, cfg.nfa_max)
+
+
+def _box_sum(buf: np.ndarray, vals: np.ndarray, p: int, pad: int = 0) -> np.ndarray:
+    """Exact sums over every p x p window of ``vals`` framed by ``pad`` zeros,
+    from prefix sums taken in place in the top-left corner of ``buf``, a
+    reused buffer whose first row and column stay zero."""
+    n, m = vals.shape[0] + 2 * pad, vals.shape[1] + 2 * pad
+    s = buf[: n + 1, : m + 1]
+    if pad:
+        s[1 : pad + 1, 1:] = s[n + 1 - pad :, 1:] = 0.0
+        s[1:, 1 : pad + 1] = s[1:, m + 1 - pad :] = 0.0
+    s[pad + 1 : n + 1 - pad, pad + 1 : m + 1 - pad] = vals
+    np.cumsum(s, axis=0, out=s)
+    np.cumsum(s, axis=1, out=s)
     return s[p:, p:] - s[:-p, p:] - s[p:, :-p] + s[:-p, :-p]
 
 
-def _cover_sum(anchor_vals: np.ndarray, p: int, shape: tuple[int, int]) -> np.ndarray:
-    """Sum of an anchor-grid quantity over all patches covering each pixel."""
-    h, w = shape
-    padded = np.zeros((h + p - 1, w + p - 1))
-    padded[p - 1 : p - 1 + anchor_vals.shape[0], p - 1 : p - 1 + anchor_vals.shape[1]] = (
-        anchor_vals
-    )
-    return _sliding_sum(padded, p)
+def _offsets(c: int) -> list[tuple[int, int]]:
+    """Search-window offsets ``(tx, ty)`` in row-major order."""
+    return [(tx, ty) for ty in range(-c, c + 1) for tx in range(-c, c + 1)]
 
 
-def _offsets(c: int):
-    for ty in range(-c, c + 1):
-        for tx in range(-c, c + 1):
-            yield tx, ty
-
-
-def _patch_distances(u: np.ndarray, p: int, tx: int, ty: int):
-    """Squared patch distances at offset ``(tx, ty)`` for the anchors whose
-    base and shifted windows both fit; returns (distances, slices)."""
+def _pair_distances(u: np.ndarray, p: int, c: int):
+    """Squared patch distances, one pass per ``+-t`` pair: yields ``(d,
+    {t: anchors, -t: anchors})``, ``anchors`` being the slices of the anchor
+    grid where ``d`` applies, for each ``t`` first of its pair in row-major
+    order whose windows fit somewhere."""
     h, w = u.shape
-    ax_lo, ax_hi = max(0, -tx), w - p - max(0, tx)
-    ay_lo, ay_hi = max(0, -ty), h - p - max(0, ty)
-    if ax_lo > ax_hi or ay_lo > ay_hi:
-        return None
-    ys = slice(ay_lo, ay_hi + p)
-    xs = slice(ax_lo, ax_hi + p)
-    diff = u[ay_lo + ty : ay_hi + p + ty, ax_lo + tx : ax_hi + p + tx] - u[ys, xs]
-    d = _sliding_sum(diff * diff, p)
-    return d, slice(ay_lo, ay_hi + 1), slice(ax_lo, ax_hi + 1)
+    buf = np.zeros((h + 1, w + 1))
+    for tx, ty in _offsets(c)[: 2 * c * (c + 1) + 1]:  # up to the origin
+        ax_lo, ax_hi = max(0, -tx), w - p - max(0, tx)
+        ay_lo, ay_hi = max(0, -ty), h - p - max(0, ty)
+        if ax_lo > ax_hi or ay_lo > ay_hi:
+            continue
+        diff = u[ay_lo + ty : ay_hi + p + ty, ax_lo + tx : ax_hi + p + tx]
+        diff = diff - u[ay_lo : ay_hi + p, ax_lo : ax_hi + p]
+        ys, xs = slice(ay_lo, ay_hi + 1), slice(ax_lo, ax_hi + 1)
+        mirror = (slice(ys.start + ty, ys.stop + ty), slice(xs.start + tx, xs.stop + tx))
+        yield _box_sum(buf, diff * diff, p), {(tx, ty): (ys, xs), (-tx, -ty): mirror}
 
 
-def _aggregate(u: np.ndarray, p: int, c: int, weights: Iterable) -> np.ndarray:
+def _aggregate(u: np.ndarray, p: int, weights: Iterable) -> np.ndarray:
     """Pixel estimates from per-offset anchor weights (each summing to one
-    over offsets at every anchor)."""
+    over offsets at every anchor), accumulated in the order given."""
     h, w = u.shape
-    acc = np.zeros((h, w))
+    buf = np.zeros((h + p, w + p))
+    out = np.zeros((h, w))
     for tx, ty, w_t in weights:
-        cover = _cover_sum(w_t, p, (h, w))
-        shifted = np.zeros((h, w))
-        src_y = slice(max(0, ty), h + min(0, ty))
-        src_x = slice(max(0, tx), w + min(0, tx))
-        dst_y = slice(max(0, -ty), h - max(0, ty))
-        dst_x = slice(max(0, -tx), w - max(0, tx))
-        shifted[dst_y, dst_x] = u[src_y, src_x]
-        acc += shifted * cover
-    n_anchors_y, n_anchors_x = h - p + 1, w - p + 1
-    counts = _cover_sum(np.ones((n_anchors_y, n_anchors_x)), p, (h, w))
-    return acc / counts
+        cover = _box_sum(buf, w_t, p, p - 1)
+        dst = np.s_[max(0, -ty) : h - max(0, ty), max(0, -tx) : w - max(0, tx)]
+        src = np.s_[max(0, ty) : h - max(0, -ty), max(0, tx) : w - max(0, -tx)]
+        out[dst] += u[src] * cover[dst]
+    counts = _box_sum(buf, np.ones((h - p + 1, w - p + 1)), p, p - 1)
+    return out / counts
 
 
 def nlmeans_threshold(u, cfg: DenoiseConfig, reference=None) -> DenoiseReport:
@@ -185,11 +197,7 @@ def nlmeans_threshold(u, cfg: DenoiseConfig, reference=None) -> DenoiseReport:
     h, w = u.shape
     if h < p or w < p:
         raise ValueError("image smaller than patch")
-    if cfg.nfa_max == cfg.window_size:
-        a_map = np.zeros((2 * c + 1, 2 * c + 1))
-        mean_a = 0.0
-    else:
-        a_map, mean_a = nlmeans_a_priori_threshold(p, c, cfg.nfa_max)
+    a_map, mean_a = _thresholds(cfg)
     if cfg.threshold_mode == "constant-mean":
         applied = np.full((2 * c + 1, 2 * c + 1), mean_a)
         applied[c, c] = 0.0
@@ -199,22 +207,16 @@ def nlmeans_threshold(u, cfg: DenoiseConfig, reference=None) -> DenoiseReport:
 
     n_anchors = (h - p + 1, w - p + 1)
     counts = np.zeros(n_anchors)
-    accepted: list[tuple[int, int, np.ndarray]] = []
-    for tx, ty in _offsets(c):
-        res = _patch_distances(u, p, tx, ty)
-        if res is None:
-            continue
-        d, sy, sx = res
-        acc = np.zeros(n_anchors, dtype=bool)
-        if tx == 0 and ty == 0:
-            acc[sy, sx] = True
-        else:
-            acc[sy, sx] = d <= s2 * applied[ty + c, tx + c]
-        counts += acc
-        accepted.append((tx, ty, acc))
-    # A generator: one float weight map is alive at a time, not (2c+1)^2.
-    weights = ((tx, ty, acc / counts) for tx, ty, acc in accepted)
-    denoised = _aggregate(u, p, c, weights)
+    accepted = {}
+    for d, place in _pair_distances(u, p, c):
+        for (tx, ty), anchors in place.items():
+            acc = np.zeros(n_anchors, dtype=bool)
+            acc[anchors] = True if tx == ty == 0 else d <= s2 * applied[ty + c, tx + c]
+            counts += acc
+            accepted[tx, ty] = acc
+    # Row-major offset order; one float weight map is alive at a time.
+    weights = ((*t, accepted[t] / counts) for t in _offsets(c) if t in accepted)
+    denoised = _aggregate(u, p, weights)
     return DenoiseReport(
         denoised=denoised,
         selected_counts=counts,
@@ -236,30 +238,29 @@ def nlmeans_classic(u, cfg: DenoiseConfig, h_bandwidth: float) -> DenoiseReport:
         raise ValueError("image smaller than patch")
     n_anchors = (h - p + 1, w - p + 1)
     h2 = h_bandwidth * h_bandwidth
+    raw = {}
+    for d, place in _pair_distances(u, p, c):
+        w_pair = np.exp(-d / h2)  # one raw weight map per +-t pair
+        raw.update((t, (w_pair, anchors)) for t, anchors in place.items())
+    raw = {t: raw[t] for t in _offsets(c) if t in raw}  # row-major order
     z = np.zeros(n_anchors)
-    raw: list[tuple[int, int, np.ndarray]] = []
-    for tx, ty in _offsets(c):
-        res = _patch_distances(u, p, tx, ty)
-        if res is None:
-            continue
-        d, sy, sx = res
-        w_t = np.zeros(n_anchors)
-        w_t[sy, sx] = np.exp(-d / h2)
-        z += w_t
-        raw.append((tx, ty, w_t))
+    for w_pair, anchors in raw.values():
+        z[anchors] += w_pair
     sel = np.zeros(n_anchors)
     total = np.zeros(n_anchors)
 
     def normalized():
-        # One normalized map is alive at a time, beside the raw list.
+        # One full weight map is alive at a time, beside the raw pair maps.
         nonlocal sel, total
-        for tx, ty, w_t in raw:
-            w_t = w_t / z
+        for (tx, ty), (w_pair, anchors) in raw.items():
+            w_t = np.zeros(n_anchors)
+            w_t[anchors] = w_pair
+            w_t /= z
             sel += w_t > 0
             total += w_t
             yield tx, ty, w_t
 
-    denoised = _aggregate(u, p, c, normalized())
+    denoised = _aggregate(u, p, normalized())
     return DenoiseReport(
         denoised=denoised,
         selected_counts=sel,
@@ -295,9 +296,6 @@ def reconstruction_bound(cfg: DenoiseConfig, eps: float) -> float:
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0,1)")
-    a_map, _ = nlmeans_a_priori_threshold(
-        cfg.patch_side, cfg.search_radius, cfg.nfa_max
-    )
-    a_t = float(a_map.max())
+    a_t = float(_thresholds(cfg)[0].max())
     a_w = float(special.chdtri(cfg.patch_side**2, eps))
     return cfg.sigma * (math.sqrt(a_t) + math.sqrt(a_w))

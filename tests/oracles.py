@@ -5,7 +5,9 @@ replace: the dense trace cumulants of the increment covariance ``C_t``
 (one ``n x n`` matrix and one ``n^3`` product per offset), the scalar
 three-branch law fit, the per-offset loop that fills a law table, the
 scalar law CDF and quantile with the vectorised table copies they once
-had, and the loop auto-similarity map.  Independent references live here
+had, the loop auto-similarity map, and the NL-means loop that computes
+every offset's patch distances on its own, through freshly padded
+integral images.  Independent references live here
 too: the offset correlation and increment covariance matrix, the dense
 white-noise increment covariance on the plane, and a seeded Monte-Carlo
 CDF.  They depend only on numpy, scipy's special functions, the model's
@@ -317,3 +319,112 @@ def table_quantile_map(table, q: float) -> np.ndarray:
         lo[~above] = mid[~above]
     out[live] = hi
     return out
+
+
+# ------------------------------------------------------------ NL-means
+
+
+def _sliding_sum(img: np.ndarray, p: int) -> np.ndarray:
+    """Exact p x p window sums; output anchors at every valid top-left."""
+    s = np.cumsum(np.cumsum(np.pad(img, ((1, 0), (1, 0))), axis=0), axis=1)
+    return s[p:, p:] - s[:-p, p:] - s[p:, :-p] + s[:-p, :-p]
+
+
+def _cover_sum(anchor_vals: np.ndarray, p: int, shape: tuple[int, int]) -> np.ndarray:
+    """Sum of an anchor-grid quantity over all patches covering each pixel."""
+    h, w = shape
+    padded = np.zeros((h + p - 1, w + p - 1))
+    padded[p - 1 : p - 1 + anchor_vals.shape[0], p - 1 : p - 1 + anchor_vals.shape[1]] = (
+        anchor_vals
+    )
+    return _sliding_sum(padded, p)
+
+
+def _nl_offsets(c: int):
+    for ty in range(-c, c + 1):
+        for tx in range(-c, c + 1):
+            yield tx, ty
+
+
+def _patch_distances(u: np.ndarray, p: int, tx: int, ty: int):
+    """Squared patch distances at offset ``(tx, ty)`` for the anchors whose
+    base and shifted windows both fit; returns (distances, slices)."""
+    h, w = u.shape
+    ax_lo, ax_hi = max(0, -tx), w - p - max(0, tx)
+    ay_lo, ay_hi = max(0, -ty), h - p - max(0, ty)
+    if ax_lo > ax_hi or ay_lo > ay_hi:
+        return None
+    ys = slice(ay_lo, ay_hi + p)
+    xs = slice(ax_lo, ax_hi + p)
+    diff = u[ay_lo + ty : ay_hi + p + ty, ax_lo + tx : ax_hi + p + tx] - u[ys, xs]
+    d = _sliding_sum(diff * diff, p)
+    return d, slice(ay_lo, ay_hi + 1), slice(ax_lo, ax_hi + 1)
+
+
+def _aggregate(u: np.ndarray, p: int, weights) -> np.ndarray:
+    """Pixel estimates from per-offset anchor weights, accumulated in
+    row-major offset order through full-frame shifted copies."""
+    h, w = u.shape
+    acc = np.zeros((h, w))
+    for tx, ty, w_t in weights:
+        cover = _cover_sum(w_t, p, (h, w))
+        shifted = np.zeros((h, w))
+        src_y = slice(max(0, ty), h + min(0, ty))
+        src_x = slice(max(0, tx), w + min(0, tx))
+        dst_y = slice(max(0, -ty), h - max(0, ty))
+        dst_x = slice(max(0, -tx), w - max(0, tx))
+        shifted[dst_y, dst_x] = u[src_y, src_x]
+        acc += shifted * cover
+    counts = _cover_sum(np.ones((h - p + 1, w - p + 1)), p, (h, w))
+    return acc / counts
+
+
+def loop_nlmeans_threshold(u, p: int, c: int, applied: np.ndarray, s2: float):
+    """Threshold NL-means with one distance pass per offset: an offset is
+    selected where ``d <= s2 * applied[ty + c, tx + c]`` (the origin
+    always is).  Returns ``(denoised, selected_counts)``."""
+    u = np.asarray(u, dtype=np.float64)
+    n_anchors = (u.shape[0] - p + 1, u.shape[1] - p + 1)
+    counts = np.zeros(n_anchors)
+    accepted = []
+    for tx, ty in _nl_offsets(c):
+        res = _patch_distances(u, p, tx, ty)
+        if res is None:
+            continue
+        d, sy, sx = res
+        acc = np.zeros(n_anchors, dtype=bool)
+        if tx == 0 and ty == 0:
+            acc[sy, sx] = True
+        else:
+            acc[sy, sx] = d <= s2 * applied[ty + c, tx + c]
+        counts += acc
+        accepted.append((tx, ty, acc))
+    weights = ((tx, ty, acc / counts) for tx, ty, acc in accepted)
+    return _aggregate(u, p, weights), counts
+
+
+def loop_nlmeans_classic(u, p: int, c: int, h_bandwidth: float):
+    """Classical NL-means with one distance pass and one full raw weight
+    map per offset.  Returns ``(denoised, selected_counts, extra)``."""
+    u = np.asarray(u, dtype=np.float64)
+    n_anchors = (u.shape[0] - p + 1, u.shape[1] - p + 1)
+    h2 = h_bandwidth * h_bandwidth
+    z = np.zeros(n_anchors)
+    raw = []
+    for tx, ty in _nl_offsets(c):
+        res = _patch_distances(u, p, tx, ty)
+        if res is None:
+            continue
+        d, sy, sx = res
+        w_t = np.zeros(n_anchors)
+        w_t[sy, sx] = np.exp(-d / h2)
+        z += w_t
+        raw.append((tx, ty, w_t))
+    normalized = [(tx, ty, w_t / z) for tx, ty, w_t in raw]
+    sel = np.zeros(n_anchors)
+    total = np.zeros(n_anchors)
+    for _, _, w_t in normalized:
+        sel += w_t > 0
+        total += w_t
+    extra = {"h": h_bandwidth, "weight_sum_max_err": float(np.abs(total - 1.0).max())}
+    return _aggregate(u, p, normalized), sel, extra

@@ -148,6 +148,29 @@ def test_denoise_constant_all_accept(tmp_path):
     assert np.array_equal(denoised, np.full((16, 16), 77.0))
 
 
+@pytest.mark.parametrize("mode", ["constant-mean", "per-offset"])
+def test_denoise_reruns_bit_identical(tmp_path, stripe_image, mode):
+    path, _ = stripe_image
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        argv = ["denoise", str(path), "--sigma", "12", "--p", "4", "--c", "5",
+                "--nfa", "3", "--mode", mode, "--out", str(out)]
+        assert main(argv) == 0
+    for name in ("denoised.pgm", "report.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_denoise_demo_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    run = subprocess.run(
+        [sys.executable, str(root / "scripts" / "denoise_demo.py"), "--size", "32"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "classical NL-means" in run.stdout
+
+
 # ----------------------------------------------------------------- lattice
 
 

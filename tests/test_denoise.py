@@ -3,7 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from oracles import loop_nlmeans_classic, loop_nlmeans_threshold
+from scipy import special, stats
 
 from redlab.denoise import (
     DenoiseConfig,
@@ -71,6 +72,15 @@ def test_threshold_spread_band():
     vals = a_map[a_map > 0]
     spread = vals.max() / vals.min() - 1.0
     assert 0.08 <= spread <= 0.18
+
+
+def test_threshold_cache_is_read_only():
+    a_map, _ = nlmeans_a_priori_threshold(4, 3, 1.0)
+    with pytest.raises(ValueError):
+        a_map[0, 0] = -7.0
+    assert nlmeans_a_priori_threshold(4, 3, 1.0)[0][0, 0] > 0
+    with pytest.raises(ValueError):
+        nlmeans_a_priori_threshold(4, 3, 0.0)[0][0, 0] = -7.0
 
 
 def test_threshold_validation():
@@ -158,8 +168,84 @@ def test_classic_weight_maps_are_normalized_one_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    # One raw map per +-t pair, over the anchors where it applies, peaks at
+    # 24 MiB; one full raw map per offset peaks at 51 MiB.
+    assert peak < 32 * 2**20
     assert report.extra["weight_sum_max_err"] < 1e-12
+
+
+# ---------------------------------------------- agreement with the loop
+
+
+def _agreement_image(shape, integer, seed):
+    rng = np.random.default_rng(seed)
+    u = 100.0 + 30.0 * rng.standard_normal(shape)
+    u[:, ::5] += 40.0  # some structure, so thresholds split offsets
+    return np.round(u) if integer else u
+
+
+AGREEMENT_CASES = [
+    # shape, p, c, nfa_max (None: |T|), integer image
+    ((20, 20), 3, 3, 2.0, True),
+    ((20, 20), 3, 3, 2.0, False),
+    ((23, 37), 4, 5, 3.0, False),
+    ((37, 23), 4, 5, 3.0, True),
+    ((9, 12), 3, 11, 5.0, False),  # most offsets have no anchors
+    ((16, 13), 1, 4, 1.0, False),
+    ((16, 13), 5, 0, 0.0, False),
+    ((18, 18), 3, 3, 0.0, False),
+    ((18, 18), 3, 3, None, True),
+]
+
+
+@pytest.mark.parametrize("mode", ["constant-mean", "per-offset"])
+@pytest.mark.parametrize("case", range(len(AGREEMENT_CASES)))
+def test_threshold_matches_per_offset_loop_bitwise(case, mode):
+    shape, p, c, nfa, integer = AGREEMENT_CASES[case]
+    u = _agreement_image(shape, integer, seed=case)
+    nfa = (2 * c + 1) ** 2 if nfa is None else nfa
+    cfg = DenoiseConfig(
+        sigma=25.0, patch_side=p, search_radius=c, nfa_max=nfa, threshold_mode=mode
+    )
+    report = nlmeans_threshold(u, cfg)
+    denoised, counts = loop_nlmeans_threshold(u, p, c, report.thresholds, 25.0**2)
+    assert np.array_equal(report.denoised, denoised)
+    assert np.array_equal(report.selected_counts, counts)
+    assert 1 <= counts.min() and counts.max() <= cfg.window_size
+    if c > 0 and nfa < cfg.window_size:  # selections differ, so a misplaced map shows
+        assert counts.min() < counts.max()
+
+
+def test_threshold_mirror_uses_its_own_threshold(monkeypatch):
+    # t and -t share distances but not thresholds: an asymmetric map must
+    # still give the per-offset loop's result.
+    import redlab.denoise as denoise_module
+
+    rng = np.random.default_rng(21)
+    a_map = rng.uniform(0.0, 40.0, size=(9, 9))
+    monkeypatch.setattr(denoise_module, "_thresholds", lambda cfg: (a_map, 20.0))
+    u = _agreement_image((23, 37), False, seed=21)
+    cfg = DenoiseConfig(
+        sigma=5.0, patch_side=2, search_radius=4, threshold_mode="per-offset"
+    )
+    report = nlmeans_threshold(u, cfg)
+    denoised, counts = loop_nlmeans_threshold(u, 2, 4, a_map, 25.0)
+    assert np.array_equal(report.thresholds, a_map)
+    assert np.array_equal(report.denoised, denoised)
+    assert np.array_equal(report.selected_counts, counts)
+
+
+@pytest.mark.parametrize("case", range(len(AGREEMENT_CASES)))
+def test_classic_matches_per_offset_loop_bitwise(case):
+    shape, p, c, _, integer = AGREEMENT_CASES[case]
+    u = _agreement_image(shape, integer, seed=case)
+    cfg = DenoiseConfig(sigma=25.0, patch_side=p, search_radius=c, nfa_max=0.0)
+    h_bandwidth = 0.4 * 25.0 * p
+    report = nlmeans_classic(u, cfg, h_bandwidth=h_bandwidth)
+    denoised, sel, extra = loop_nlmeans_classic(u, p, c, h_bandwidth)
+    assert np.array_equal(report.denoised, denoised)
+    assert np.array_equal(report.selected_counts, sel)
+    assert report.extra == extra
 
 
 # ------------------------------------------------------------- calibration
@@ -313,3 +399,10 @@ def test_reconstruction_bound_limits_and_scaling():
     )
     with pytest.raises(ValueError):
         reconstruction_bound(cfg1, 0.0)
+
+
+def test_reconstruction_bound_when_only_the_origin_is_selected():
+    # nfa_max == |T|: every threshold is zero, leaving the noise term.
+    cfg = DenoiseConfig(sigma=1.5, patch_side=4, search_radius=2, nfa_max=25)
+    expected = 1.5 * math.sqrt(special.chdtri(16, 0.1))
+    assert reconstruction_bound(cfg, 0.1) == pytest.approx(expected, rel=1e-15)
