@@ -14,9 +14,7 @@ from .background import (
     MicrotextureModel,
     cumulants,
     from_exemplar,
-    load_model,
     sample,
-    save_model,
     white_noise,
     white_noise_eigenvalue_blocks,
     white_noise_eigenvalues,
@@ -34,17 +32,13 @@ from .denoise import (
 from .detect import (
     DetectionResult,
     OffsetLawTable,
-    ap,
     autosim_detection,
     offset_laws,
-    threshold_a,
 )
 from .grid import (
     PatchDomain,
     as_map,
-    auto_similarity,
     autocorrelation,
-    extract_patch,
     inertia,
     laplacian,
 )

@@ -24,17 +24,13 @@ large to wrap.  The closed-form white-noise spectrum of square patches
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import imgio
 from .grid import PatchDomain, autocorrelation, _as_image
 from .quadform import QuadFormLaw
 
@@ -42,9 +38,7 @@ __all__ = [
     "MicrotextureModel",
     "cumulants",
     "from_exemplar",
-    "load_model",
     "sample",
-    "save_model",
     "white_noise",
     "white_noise_eigenvalue_blocks",
     "white_noise_eigenvalues",
@@ -340,34 +334,3 @@ def sample(model: MicrotextureModel, seed_or_rng) -> np.ndarray:
     w = rng.standard_normal(model.shape)
     spec = np.fft.rfft2(model.kernel) * np.fft.rfft2(w)
     return np.fft.irfft2(spec, s=model.shape)
-
-
-def save_model(model: MicrotextureModel, prefix) -> None:
-    """Serialize as kernel PFM plus a JSON metadata sidecar."""
-    prefix = Path(prefix)
-    pfm_path = prefix.with_suffix(".pfm")
-    imgio.write_pfm(pfm_path, model.kernel)
-    digest = hashlib.sha256(pfm_path.read_bytes()).hexdigest()
-    meta = {
-        "kind": model.kind,
-        "dims": [int(model.shape[1]), int(model.shape[0])],
-        "checksum": f"sha256:{digest}",
-    }
-    prefix.with_suffix(".json").write_text(json.dumps(meta, indent=2) + "\n")
-
-
-def load_model(prefix) -> MicrotextureModel:
-    """Load a serialized model; verifies the checksum and recomputes the
-    cached autocorrelation from the stored kernel."""
-    prefix = Path(prefix)
-    meta = json.loads(prefix.with_suffix(".json").read_text())
-    pfm_path = prefix.with_suffix(".pfm")
-    digest = hashlib.sha256(pfm_path.read_bytes()).hexdigest()
-    if meta["checksum"] != f"sha256:{digest}":
-        raise ValueError(f"checksum mismatch for {pfm_path}")
-    kernel = imgio.read_pfm(pfm_path)
-    if [kernel.shape[1], kernel.shape[0]] != meta["dims"]:
-        raise ValueError("dims mismatch in model metadata")
-    return MicrotextureModel(
-        kernel=kernel, gamma=_symmetrized(autocorrelation(kernel)), kind=meta["kind"]
-    )

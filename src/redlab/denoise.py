@@ -81,7 +81,6 @@ class DenoiseReport:
     selected_counts: np.ndarray  # per patch anchor
     thresholds: np.ndarray  # per-offset threshold map actually applied
     threshold_mean: float
-    psnr_dB: float | None = None
     extra: dict = field(default_factory=dict)
 
 
@@ -92,10 +91,10 @@ def nlmeans_a_priori_threshold(
 
     Returns the ``(2c+1, 2c+1)`` threshold map indexed ``[ty+c, tx+c]``
     (zero at the origin, which is always selected) and the mean threshold
-    over the nonzero offsets.  Thresholds are quantiles at level
-    ``1 - nfa_max / |T|``; they depend on the offset only through the
-    unordered pair of component magnitudes, and are constant once the
-    offset clears the patch.
+    over the nonzero offsets, 0 when ``c = 0`` leaves none.  Thresholds
+    are quantiles at level ``1 - nfa_max / |T|``; they depend on the
+    offset only through the unordered pair of component magnitudes, and
+    are constant once the offset clears the patch.
     """
     n_t = (2 * c + 1) ** 2
     if not 0 <= nfa_max < n_t:
@@ -106,7 +105,6 @@ def nlmeans_a_priori_threshold(
     if nfa_max == 0.0:
         a_map = np.full((2 * c + 1, 2 * c + 1), np.inf)
         a_map[c, c] = 0.0
-        mean_a = math.inf
     else:
         ty, tx = np.abs(np.mgrid[-c : c + 1, -c : c + 1])
         pairs = np.stack([np.minimum(tx, ty).ravel(), np.maximum(tx, ty).ravel()], axis=1)
@@ -114,7 +112,7 @@ def nlmeans_a_priori_threshold(
         # One law per class (lo, hi); the origin class (0, 0) is the point mass.
         per_class = quantile(fit(white_noise_law(p, classes)), 1.0 - nfa_max / n_t)
         a_map = per_class[inverse.ravel()].reshape(2 * c + 1, 2 * c + 1)
-        mean_a = float(a_map.sum() / (n_t - 1))
+    mean_a = float(a_map.sum() / (n_t - 1)) if n_t > 1 else 0.0
     a_map.flags.writeable = False  # the cached map is shared by every caller
     _threshold_cache[key] = (a_map, mean_a)
     return _threshold_cache[key]
@@ -182,15 +180,14 @@ def _aggregate(u: np.ndarray, p: int, weights: Iterable) -> np.ndarray:
     return out / counts
 
 
-def nlmeans_threshold(u, cfg: DenoiseConfig, reference=None) -> DenoiseReport:
+def nlmeans_threshold(u, cfg: DenoiseConfig) -> DenoiseReport:
     """Denoise by uniform averaging of the selected patches.
 
     For each patch, an offset is selected when its squared patch distance
     is at most ``sigma^2`` times the white-noise threshold (the origin
     always is); the denoised patch is the plain mean of the selected
     shifted patches, and each pixel averages the estimates of all patches
-    containing it.  When a clean ``reference`` is given, the report also
-    carries the PSNR against it.
+    containing it.
     """
     u = np.asarray(u, dtype=np.float64)
     p, c = cfg.patch_side, cfg.search_radius
@@ -222,7 +219,6 @@ def nlmeans_threshold(u, cfg: DenoiseConfig, reference=None) -> DenoiseReport:
         selected_counts=counts,
         thresholds=applied,
         threshold_mean=mean_a,
-        psnr_dB=None if reference is None else psnr(reference, denoised),
     )
 
 

@@ -29,25 +29,11 @@ from .quadform import KIND_GAMMA, KIND_POINT, KIND_WOOD, WoodFParams, cdf, fit, 
 __all__ = [
     "DetectionResult",
     "OffsetLawTable",
-    "ap",
     "autosim_detection",
     "offset_laws",
     "save_detection",
     "stride_mask",
-    "threshold_a",
-    "window_mask",
 ]
-
-def ap(model: MicrotextureModel, t, patch: PatchDomain, value: float) -> float:
-    """Background probability that the statistic at ``t`` is <= ``value``."""
-    if value < 0:
-        raise ValueError("auto-similarity values are nonnegative")
-    return cdf(fit(cumulants(model, t, patch)), value)
-
-
-def threshold_a(model: MicrotextureModel, t, patch: PatchDomain, q: float) -> float:
-    """Per-offset detection threshold: the ``q``-quantile of the law at ``t``."""
-    return quantile(fit(cumulants(model, t, patch)), q)
 
 
 @dataclass
@@ -66,6 +52,7 @@ class OffsetLawTable:
     p1: np.ndarray
     scale: np.ndarray
     mask: np.ndarray | None = None
+    _quantiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def params(self) -> WoodFParams:
@@ -91,8 +78,16 @@ class OffsetLawTable:
         return out
 
     def quantile_map(self, q: float) -> np.ndarray:
-        """Per-offset ``q``-quantiles (0 for point-mass and masked offsets)."""
-        return np.where(self.live_mask(), quantile(self.params, q), 0.0)
+        """Per-offset ``q``-quantiles (0 for point-mass and masked offsets).
+
+        Evaluated once per ``q`` and cached on the table; the map is
+        read-only because every caller shares it.
+        """
+        if q not in self._quantiles:
+            a_map = np.where(self.live_mask(), quantile(self.params, q), 0.0)
+            a_map.flags.writeable = False
+            self._quantiles[q] = a_map
+        return self._quantiles[q]
 
     def live_mask(self) -> np.ndarray:
         """Offsets that can ever be detected: evaluated and nondegenerate."""
@@ -102,10 +97,11 @@ class OffsetLawTable:
         return live
 
     def detect_by_threshold(self, as_values: np.ndarray, q: float) -> np.ndarray:
-        """Statistic-side thresholding; equivalent to probability-side
-        detection away from degenerate offsets (which never detect)."""
-        a = self.quantile_map(q)
-        return (np.asarray(as_values) <= a) & self.live_mask()
+        """Statistic-side detection: the statistic at most its offset's
+        ``q``-quantile.  Equivalent to probability-side detection away from
+        degenerate offsets, which never detect, not even where a zero
+        statistic meets their zero threshold."""
+        return (np.asarray(as_values) <= self.quantile_map(q)) & self.live_mask()
 
 
 def stride_mask(shape: tuple[int, int], stride: int) -> np.ndarray:
@@ -115,14 +111,6 @@ def stride_mask(shape: tuple[int, int], stride: int) -> np.ndarray:
     ys = (np.arange(h) % stride == 0)[:, None]
     xs = (np.arange(w) % stride == 0)[None, :]
     return ys & xs
-
-
-def window_mask(shape: tuple[int, int], radius: int) -> np.ndarray:
-    """Evaluate only offsets within sup-norm ``radius`` of the origin."""
-    h, w = shape
-    tx = (np.arange(w) + w // 2) % w - w // 2
-    ty = (np.arange(h) + h // 2) % h - h // 2
-    return (np.abs(ty)[:, None] <= radius) & (np.abs(tx)[None, :] <= radius)
 
 
 def offset_laws(
@@ -225,14 +213,13 @@ def autosim_detection(
     )
 
 
-def save_detection(result: DetectionResult, outdir, basename: str = "") -> dict:
+def save_detection(result: DetectionResult, outdir) -> dict:
     """Write ``P_map`` (PFM), ``D_map`` (PGM) and a JSON sidecar."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    stem = basename + "_" if basename else ""
-    p_path = outdir / f"{stem}P_map.pfm"
-    d_path = outdir / f"{stem}D_map.pgm"
-    meta_path = outdir / f"{stem}detection.json"
+    p_path = outdir / "P_map.pfm"
+    d_path = outdir / "D_map.pgm"
+    meta_path = outdir / "detection.json"
     imgio.write_pfm(p_path, result.p_map)
     imgio.write_pgm(d_path, result.d_map.astype(np.float64) * 255.0, maxval=255)
     meta = {

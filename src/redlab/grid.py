@@ -25,11 +25,8 @@ import numpy as np
 __all__ = [
     "PatchDomain",
     "as_map",
-    "auto_similarity",
     "autocorrelation",
     "centered_coords",
-    "centered_offset",
-    "extract_patch",
     "inertia",
     "laplacian",
 ]
@@ -101,14 +98,6 @@ def _as_image(u) -> np.ndarray:
     return u
 
 
-def centered_offset(t: tuple[int, int], shape: tuple[int, int]) -> tuple[int, int]:
-    """Remap a raw offset to its centered representative."""
-    h, w = shape
-    cx = (t[0] + w // 2) % w - w // 2
-    cy = (t[1] + h // 2) % h - h // 2
-    return (cx, cy)
-
-
 def centered_coords(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Centered (t_x, t_y) grids for an offset map of the given shape.
 
@@ -119,27 +108,6 @@ def centered_coords(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     tx = (np.arange(w) + w // 2) % w - w // 2
     ty = (np.arange(h) + h // 2) % h - h // 2
     return np.broadcast_to(tx, (h, w)).copy(), np.broadcast_to(ty[:, None], (h, w)).copy()
-
-
-def extract_patch(u, patch: PatchDomain) -> np.ndarray:
-    """Patch values in canonical order, wrapping coordinates periodically."""
-    u = _as_image(u)
-    h, w = u.shape
-    c = patch.coords()
-    return u[c[:, 1] % h, c[:, 0] % w]
-
-
-def auto_similarity(u, t: tuple[int, int], patch: PatchDomain) -> float:
-    """Squared distance between the patch and its copy shifted by ``t``.
-
-    Direct evaluation; :func:`as_map` computes all offsets at once.
-    """
-    u = _as_image(u)
-    h, w = u.shape
-    c = patch.coords()
-    base = u[c[:, 1] % h, c[:, 0] % w]
-    shifted = u[(c[:, 1] + t[1]) % h, (c[:, 0] + t[0]) % w]
-    return float(np.sum((shifted - base) ** 2))
 
 
 def _indicator(shape: tuple[int, int], patch: PatchDomain) -> np.ndarray:

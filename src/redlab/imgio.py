@@ -1,9 +1,10 @@
 """PGM and PFM image files.
 
-PGM covers 8- and 16-bit grayscale inputs and outputs (both the binary
-``P5`` and ASCII ``P2`` flavors, 16-bit samples big-endian as required by
-the format).  PFM (grayscale ``Pf``, little-endian, scanlines stored
-bottom-to-top) carries real-valued maps such as probability maps.
+PGM covers 8- and 16-bit grayscale images, 16-bit samples big-endian as
+required by the format; the binary ``P5`` and ASCII ``P2`` flavors are
+read, and ``P5`` is written.  PFM (grayscale ``Pf``, little-endian,
+scanlines stored bottom-to-top) carries real-valued maps such as
+probability maps.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def _parse_pgm(data: bytes) -> tuple[np.ndarray, int]:
     return arr.reshape(height, width), maxval
 
 
-def write_pgm(path, image, maxval: int = 255, binary: bool = True) -> None:
-    """Write a PGM file, clipping and rounding samples to ``[0, maxval]``."""
+def write_pgm(path, image, maxval: int = 255) -> None:
+    """Write a binary PGM file, clipping and rounding samples to ``[0, maxval]``."""
     u = np.asarray(image, dtype=np.float64)
     if u.ndim != 2:
         raise ValueError("PGM image must be 2-D")
@@ -103,18 +104,11 @@ def write_pgm(path, image, maxval: int = 255, binary: bool = True) -> None:
         raise ValueError(f"invalid PGM maxval {maxval}")
     q = np.clip(np.rint(u), 0, maxval)
     height, width = u.shape
-    if binary:
-        dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
-        body = q.astype(dtype).tobytes()
-        with open(path, "wb") as fh:
-            fh.write(header + body)
-    else:
-        lines = [f"P2\n{width} {height}\n{maxval}\n"]
-        for row in q.astype(np.int64):
-            lines.append(" ".join(str(v) for v in row) + "\n")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.writelines(lines)
+    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
+    body = q.astype(dtype).tobytes()
+    with open(path, "wb") as fh:
+        fh.write(header + body)
 
 
 def read_pfm(path) -> np.ndarray:

@@ -249,17 +249,16 @@ def alternate_minimization(
     n_iter: int,
     init: str = "median",
     seed: int | None = None,
-    basis0=None,
 ) -> LatticeFit:
     """Alternating descent on the lattice energy.
 
     Coefficients start at zero; the basis starts as a direct orthogonal
-    pair built from an edge of median norm (or a seeded uniformly-chosen
-    edge, or ``basis0``).  Each iteration solves for the real coefficient
-    minimizer, rounds it, keeps the rounding only if it strictly decreases
-    the energy, then refits the basis exactly.  The returned noise level
-    is the stationary point of the log-posterior in the noise variance,
-    ``q / (4 (|E| + 1))``.
+    pair built from an edge of median norm (``init="median"``) or from a
+    seeded uniformly-chosen edge (``init="random"``).  Each iteration
+    solves for the real coefficient minimizer, rounds it, keeps the
+    rounding only if it strictly decreases the energy, then refits the
+    basis exactly.  The returned noise level is the stationary point of
+    the log-posterior in the noise variance, ``q / (4 (|E| + 1))``.
     """
     e = np.asarray(edge_vectors, dtype=np.float64)
     if e.ndim != 2 or e.shape[1] != 2 or len(e) < 1:
@@ -273,8 +272,6 @@ def alternate_minimization(
         rng = np.random.default_rng(seed)
         pick = e[rng.integers(0, m)]
         basis = np.array([[pick[0], pick[1]], [-pick[1], pick[0]]])
-    elif init == "given":
-        basis = np.asarray(basis0, dtype=np.float64).copy()
     else:
         raise ValueError(f"unknown init {init!r}")
     coeffs = np.zeros((m, 2))
@@ -332,7 +329,6 @@ def rank_textures(
     n_iter: int = 10,
     seed: int = 0,
     labels=None,
-    mask=None,
 ) -> list[dict]:
     """Rank images by periodicity.
 
@@ -359,10 +355,8 @@ def rank_textures(
         h, w = u.shape
         model = from_exemplar(u)
         patch0 = PatchDomain(anchor=(0, 0), side=patch_side)
-        laws = offset_laws(model, patch0, mask=mask)
+        laws = offset_laws(model, patch0)
         q = nfa_max / (h * w)
-        a_map = laws.quantile_map(q)
-        live = laws.live_mask()
         # One anchor stream per master seed, shared by all images: scores
         # are compared at common positions, and the ranking cannot depend
         # on the input order.
@@ -374,7 +368,7 @@ def rank_textures(
             ay = int(rng.integers(0, h - patch_side + 1))
             patch = PatchDomain(anchor=(ax, ay), side=patch_side)
             values = as_map(u, patch)
-            d_map = (values <= a_map) & live
+            d_map = laws.detect_by_threshold(values, q)
             try:
                 graph = build_graph(d_map, values)
             except GraphTooSmall:

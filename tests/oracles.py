@@ -5,13 +5,14 @@ replace: the dense trace cumulants of the increment covariance ``C_t``
 (one ``n x n`` matrix and one ``n^3`` product per offset), the scalar
 three-branch law fit, the per-offset loop that fills a law table, the
 scalar law CDF and quantile with the vectorised table copies they once
-had, the loop auto-similarity map, and the NL-means loop that computes
-every offset's patch distances on its own, through freshly padded
-integral images.  Independent references live here
-too: the offset correlation and increment covariance matrix, the dense
-white-noise increment covariance on the plane, and a seeded Monte-Carlo
-CDF.  They depend only on numpy, scipy's special functions, the model's
-autocorrelation and the patch coordinates, never on the code under test.
+had, the direct auto-similarity of one offset and the loop map built
+from it, and the NL-means loop that computes every offset's patch
+distances on its own, through freshly padded integral images.
+Independent references live here too: the offset correlation and
+increment covariance matrix, the dense white-noise increment covariance
+on the plane, and a seeded Monte-Carlo CDF.  They depend only on numpy,
+scipy's special functions, the model's autocorrelation and the patch
+coordinates, never on the code under test.
 """
 
 from __future__ import annotations
@@ -126,18 +127,21 @@ def loop_offset_laws(model, patch, mask=None):
 # ------------------------------------------------------ maps and matrices
 
 
-def as_map_naive(u, patch) -> np.ndarray:
-    """Loop evaluation of the auto-similarity map."""
+def auto_similarity(u, t, patch) -> float:
+    """Squared distance between the patch and its copy shifted by ``t``,
+    evaluated directly with periodic coordinates."""
     u = np.asarray(u, dtype=np.float64)
     h, w = u.shape
     c = patch.coords()
     base = u[c[:, 1] % h, c[:, 0] % w]
-    out = np.empty((h, w))
-    for ty in range(h):
-        for tx in range(w):
-            shifted = u[(c[:, 1] + ty) % h, (c[:, 0] + tx) % w]
-            out[ty, tx] = np.sum((shifted - base) ** 2)
-    return out
+    shifted = u[(c[:, 1] + t[1]) % h, (c[:, 0] + t[0]) % w]
+    return float(np.sum((shifted - base) ** 2))
+
+
+def as_map_naive(u, patch) -> np.ndarray:
+    """Loop evaluation of the auto-similarity map, one offset at a time."""
+    h, w = np.shape(u)
+    return np.array([[auto_similarity(u, (tx, ty), patch) for tx in range(w)] for ty in range(h)])
 
 
 def delta_map(model, t) -> np.ndarray:

@@ -11,7 +11,7 @@ import math
 import time
 
 import numpy as np
-from oracles import covariance_matrix, mc_cdf, white_noise_covariance
+from oracles import auto_similarity, covariance_matrix, mc_cdf, white_noise_covariance
 
 from redlab.background import (
     cumulants,
@@ -27,7 +27,7 @@ from redlab.denoise import (
     psnr,
 )
 from redlab.detect import offset_laws
-from redlab.grid import PatchDomain, as_map, auto_similarity, inertia
+from redlab.grid import PatchDomain, as_map, inertia
 from redlab.lattice import (
     alternate_minimization,
     nearest_neighbor_edges,

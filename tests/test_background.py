@@ -7,14 +7,12 @@ from oracles import covariance_matrix, delta_map, white_noise_covariance
 from redlab.background import (
     cumulants,
     from_exemplar,
-    load_model,
     sample,
-    save_model,
     white_noise,
     white_noise_eigenvalues,
     white_noise_law,
 )
-from redlab.grid import PatchDomain, autocorrelation
+from redlab.grid import PatchDomain
 from redlab.quadform import QuadFormLaw
 
 
@@ -371,28 +369,3 @@ def test_as_statistic_moments_match_cumulants_montecarlo():
     se_var = centered.std(ddof=1) / np.sqrt(len(vals))
     assert abs(var - law.k2) <= 3 * se_var
 
-
-# ------------------------------------------------------------ serialization
-
-
-def test_model_roundtrip(tmp_path):
-    rng = np.random.default_rng(13)
-    model = from_exemplar(rng.standard_normal((12, 10)))
-    prefix = tmp_path / "model"
-    save_model(model, prefix)
-    back = load_model(prefix)
-    assert back.kind == "exemplar"
-    assert np.allclose(back.kernel, model.kernel, atol=1e-6)
-    assert np.allclose(back.gamma, autocorrelation(back.kernel), atol=1e-10)
-
-
-def test_model_checksum_verification(tmp_path):
-    model = white_noise((4, 4))
-    prefix = tmp_path / "wn"
-    save_model(model, prefix)
-    pfm = prefix.with_suffix(".pfm")
-    data = bytearray(pfm.read_bytes())
-    data[-1] ^= 0xFF
-    pfm.write_bytes(bytes(data))
-    with pytest.raises(ValueError):
-        load_model(prefix)

@@ -148,6 +148,22 @@ def test_denoise_constant_all_accept(tmp_path):
     assert np.array_equal(denoised, np.full((16, 16), 77.0))
 
 
+@pytest.mark.parametrize("nfa", ["0", "0.5"])
+def test_denoise_origin_only_window_writes_strict_json(tmp_path, stripe_image, nfa):
+    path, _ = stripe_image
+    out = tmp_path / "out"
+    argv = ["denoise", str(path), "--sigma", "5", "--c", "0", "--nfa", nfa, "--p", "4",
+            "--out", str(out)]
+    assert main(argv) == 0
+
+    def reject(constant):
+        raise ValueError(f"report.json holds {constant}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["threshold_mean"] == 0.0
+    assert report["thresholds"] == [[0.0]]
+
+
 @pytest.mark.parametrize("mode", ["constant-mean", "per-offset"])
 def test_denoise_reruns_bit_identical(tmp_path, stripe_image, mode):
     path, _ = stripe_image

@@ -4,48 +4,41 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from redlab.background import from_exemplar, sample, white_noise
-from redlab.detect import (
-    ap,
-    autosim_detection,
-    offset_laws,
-    save_detection,
-    stride_mask,
-    threshold_a,
-    window_mask,
-)
-from redlab.grid import PatchDomain
+import redlab.detect as detect
+from redlab.background import cumulants, from_exemplar, sample, white_noise
+from redlab.detect import autosim_detection, offset_laws, save_detection, stride_mask
+from redlab.grid import PatchDomain, as_map, centered_coords
 from redlab.imgio import read_pfm, read_pgm
-from redlab.quadform import KIND_WOOD, cdf, fit
-from redlab.background import cumulants
+from redlab.quadform import KIND_POINT, KIND_WOOD, cdf, fit, quantile
 
 
-# ------------------------------------------------------------------- ap
+def law(model, t, patch):
+    """The fitted background law of the statistic at one offset."""
+    return fit(cumulants(model, t, patch))
+
+
+# ------------------------------------------------- one offset's probability
 
 
 def test_ap_zero_offset_is_one():
     rng = np.random.default_rng(0)
     model = from_exemplar(rng.standard_normal((12, 12)))
-    assert ap(model, (0, 0), PatchDomain(side=3), 0.0) == 1.0
+    assert cdf(law(model, (0, 0), PatchDomain(side=3)), 0.0) == 1.0
 
 
 def test_ap_non_overlap_median():
     model = white_noise((32, 32))
     patch = PatchDomain(side=8)
     median = 2.0 * stats.chi2.ppf(0.5, df=64)
-    assert abs(ap(model, (10, 9), patch, median) - 0.5) <= 5e-3
+    assert abs(cdf(law(model, (10, 9), patch), median) - 0.5) <= 5e-3
 
 
 def test_ap_left_tail_zero():
     rng = np.random.default_rng(1)
     model = from_exemplar(rng.standard_normal((16, 16)))
-    assert ap(model, (3, 2), PatchDomain(side=4), 0.0) <= 1e-8
-
-
-def test_ap_rejects_negative_value():
-    model = white_noise((8, 8))
-    with pytest.raises(ValueError):
-        ap(model, (1, 0), PatchDomain(side=2), -1.0)
+    params = law(model, (3, 2), PatchDomain(side=4))
+    assert cdf(params, 0.0) <= 1e-8
+    assert cdf(params, -1.0) == 0.0
 
 
 # -------------------------------------------------------------- thresholds
@@ -55,31 +48,27 @@ def test_threshold_zero_offset():
     model = white_noise((16, 16))
     patch = PatchDomain(side=4)
     for q in (0.01, 0.5, 0.99):
-        assert threshold_a(model, (0, 0), patch, q) == 0.0
+        assert quantile(law(model, (0, 0), patch), q) == 0.0
 
 
 def test_threshold_non_overlap_median():
     model = white_noise((32, 32))
     patch = PatchDomain(side=8)
-    a = threshold_a(model, (12, 12), patch, 0.5)
+    a = quantile(law(model, (12, 12), patch), 0.5)
     assert a == pytest.approx(2.0 * stats.chi2.ppf(0.5, df=64), rel=5e-3)
 
 
 def test_threshold_monotone_in_q():
-    model = white_noise((16, 16))
-    patch = PatchDomain(side=4)
-    assert threshold_a(model, (2, 1), patch, 0.01) < threshold_a(
-        model, (2, 1), patch, 0.5
-    )
+    params = law(white_noise((16, 16)), (2, 1), PatchDomain(side=4))
+    assert quantile(params, 0.01) < quantile(params, 0.5)
 
 
 def test_threshold_roundtrip():
     rng = np.random.default_rng(2)
     model = from_exemplar(rng.standard_normal((16, 16)))
-    patch = PatchDomain(side=4)
+    params = law(model, (5, 3), PatchDomain(side=4))
     q = 1.0 / 256
-    a = threshold_a(model, (5, 3), patch, q)
-    assert ap(model, (5, 3), patch, a) == pytest.approx(q, abs=1e-6)
+    assert cdf(params, quantile(params, q)) == pytest.approx(q, abs=1e-6)
 
 
 # ----------------------------------------------------------------- law table
@@ -91,7 +80,7 @@ def test_table_matches_scalar_path():
     patch = PatchDomain(side=3)
     table = offset_laws(model, patch)
     for t in [(0, 0), (1, 0), (5, 7), (11, 11), (6, 6)]:
-        scalar = fit(cumulants(model, t, patch))
+        scalar = law(model, t, patch)
         i = (t[1] % 12, t[0] % 12)
         assert table.kind[i] == scalar.kind
         if scalar.kind == KIND_WOOD:
@@ -120,6 +109,50 @@ def test_table_anfa_identity_away_from_origin():
     live = table.live_mask()
     total = float(p_at_a[live].sum())
     assert abs(total - live.sum() * q) <= live.sum() * 2e-6
+
+
+def test_quantile_map_is_evaluated_once_per_level_and_read_only(monkeypatch):
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal((12, 12))
+    patch = PatchDomain(side=3)
+    table = offset_laws(from_exemplar(u), patch)
+    levels = []
+
+    def counted(params, q):
+        levels.append(q)
+        return quantile(params, q)
+
+    monkeypatch.setattr(detect, "quantile", counted)
+    a_map = table.quantile_map(0.01)
+    assert not a_map.flags.writeable
+    with pytest.raises(ValueError):
+        a_map[0, 0] = 1.0
+    values = as_map(u, patch)
+    for _ in range(3):
+        assert table.quantile_map(0.01) is a_map
+        assert np.array_equal(
+            table.detect_by_threshold(values, 0.01), (values <= a_map) & table.live_mask()
+        )
+    table.quantile_map(0.02)
+    assert levels == [0.01, 0.02]
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_detect_by_threshold_never_fires_at_point_masses(masked):
+    # Under its own exemplar model an exactly periodic image has point-mass
+    # laws at its periods, where both the statistic and the threshold are 0.
+    u = np.tile(np.random.default_rng(12).standard_normal((4, 6)), (4, 3))
+    patch = PatchDomain(anchor=(3, 2), side=3)
+    table = offset_laws(from_exemplar(u), patch, mask=stride_mask(u.shape, 2) if masked else None)
+    evaluated = np.ones(u.shape, bool) if table.mask is None else table.mask
+    values = as_map(u, patch)
+    q = 1.0 / u.size
+    zero_meets_zero = (table.kind == KIND_POINT) & evaluated & (values == 0.0)
+    zero_meets_zero &= table.quantile_map(q) == 0.0
+    assert zero_meets_zero[0, 6] and zero_meets_zero[4, 0] and zero_meets_zero.sum() > 4
+    detected = table.detect_by_threshold(values, q)
+    assert not detected[table.kind == KIND_POINT].any()
+    assert np.array_equal(detected, table.cdf_map(values) <= q)
 
 
 # ----------------------------------------------------------- detection runs
@@ -188,7 +221,7 @@ def test_detect_masked_offsets():
     assert not np.any(res.d_map[~mask])
     assert res.fallback_counts["point_mass"] >= 1  # the origin
 
-    wmask = window_mask((16, 16), 3)
+    wmask = np.abs(centered_coords((16, 16))).max(axis=0) <= 3  # sup-norm window
     assert wmask.sum() == 49
     assert wmask[0, 0] and wmask[3, 3] and wmask[13, 13] and not wmask[4, 0]
 
@@ -224,12 +257,12 @@ def test_save_detection_roundtrip(tmp_path):
     u = rng.standard_normal((16, 16))
     model = from_exemplar(u)
     res = autosim_detection(u, PatchDomain(anchor=(2, 1), side=3), model, 5.0)
-    paths = save_detection(res, tmp_path, basename="run")
+    paths = save_detection(res, tmp_path)
     p_back = read_pfm(paths["p_map"])
     assert np.allclose(p_back, res.p_map, atol=1e-6)
     d_back, _ = read_pgm(paths["d_map"])
     assert np.array_equal(d_back > 0, res.d_map)
-    meta = json.loads((tmp_path / "run_detection.json").read_text())
+    meta = json.loads((tmp_path / "detection.json").read_text())
     assert meta["nfa_max"] == 5.0
     assert meta["patch"] == {"anchor": [2, 1], "side": 3}
     assert meta["n_detected"] == res.n_detected

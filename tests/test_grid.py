@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import as_map_naive
+from oracles import as_map_naive, auto_similarity
 
 from redlab.grid import (
     PatchDomain,
     as_map,
-    auto_similarity,
     autocorrelation,
     centered_coords,
-    centered_offset,
-    extract_patch,
     inertia,
     laplacian,
 )
@@ -45,27 +42,6 @@ def test_patch_domain_validation():
 def test_patch_canonical_order_is_x_major():
     pd = PatchDomain(anchor=(1, 2), side=2)
     assert pd.coords().tolist() == [[1, 2], [1, 3], [2, 2], [2, 3]]
-
-
-def test_extract_constant_image():
-    u = np.full((5, 7), 3.25)
-    pd = PatchDomain(anchor=(2, 4), side=3)
-    assert np.array_equal(extract_patch(u, pd), np.full(9, 3.25))
-
-
-def test_extract_wraps_periodically():
-    u = np.array([[1.0, 2.0], [3.0, 4.0]])
-    pd = PatchDomain(coords_list=(((2, 2)),))
-    assert extract_patch(u, pd).tolist() == [1.0]
-
-
-def test_extract_matches_modular_loop():
-    rng = np.random.default_rng(7)
-    u = rng.standard_normal((5, 5))
-    pd = PatchDomain(anchor=(4, 4), side=3)
-    got = extract_patch(u, pd)
-    expected = [u[(4 + j) % 5, (4 + i) % 5] for i in range(3) for j in range(3)]
-    assert np.array_equal(got, np.array(expected))
 
 
 # ---------------------------------------------------------- auto-similarity
@@ -128,6 +104,8 @@ def test_as_map_matches_naive_all_offsets():
     slow = as_map_naive(u, pd)
     scale = float(np.sum(u * u))
     assert np.allclose(fast, slow, rtol=1e-8, atol=1e-9 * scale)
+    wrapped = PatchDomain(anchor=(14, 13), side=4)  # wraps on both axes
+    assert np.allclose(as_map(u, wrapped), as_map_naive(u, wrapped), rtol=1e-8, atol=1e-9 * scale)
 
 
 def test_as_map_nonsquare_image_and_patch_list():
@@ -253,9 +231,11 @@ def test_laplacian_sums_to_zero_and_commutes_with_shifts(u):
 
 
 def test_centered_offset_remap():
-    assert centered_offset((7, 5), (8, 8)) == (-1, -3)
-    assert centered_offset((4, 0), (8, 8)) == (-4, 0)
-    assert centered_offset((3, 2), (5, 5)) == (-2, 2)
+    ctx, cty = centered_coords((8, 8))
+    assert (ctx[5, 7], cty[5, 7]) == (-1, -3)
+    assert (ctx[0, 4], cty[0, 4]) == (-4, 0)
+    ctx, cty = centered_coords((5, 5))
+    assert (ctx[2, 3], cty[2, 3]) == (-2, 2)
 
 
 def test_centered_coords_grids():

@@ -32,12 +32,14 @@ def test_pgm_16bit_is_big_endian(tmp_path):
 
 
 def test_pgm_ascii_roundtrip(tmp_path):
-    u = np.array([[0.0, 63.0], [127.0, 255.0]])
+    # ASCII PGM is read, and written back as binary PGM.
     path = tmp_path / "ascii.pgm"
-    write_pgm(path, u, maxval=255, binary=False)
-    assert path.read_text().startswith("P2")
-    back, _ = read_pgm(path)
-    assert np.array_equal(back, u)
+    path.write_bytes(b"P2\n2 2\n255\n0 63\n127 255\n")
+    u, maxval = read_pgm(path)
+    assert maxval == 255
+    assert u.tolist() == [[0.0, 63.0], [127.0, 255.0]]
+    write_pgm(tmp_path / "binary.pgm", u, maxval=maxval)
+    assert (tmp_path / "binary.pgm").read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 63, 127, 255])
 
 
 def test_pgm_header_comments(tmp_path):

@@ -18,10 +18,11 @@ def _valid_files() -> dict[str, bytes]:
         tmp = Path(tmp)
         write_pgm(tmp / "a.pgm", rng.integers(0, 256, (3, 4)), maxval=255)
         write_pgm(tmp / "b.pgm", rng.integers(0, 65536, (2, 3)), maxval=65535)
-        write_pgm(tmp / "c.pgm", rng.integers(0, 256, (3, 2)), maxval=255, binary=False)
+        ascii_rows = rng.integers(0, 256, (3, 2))
         write_pfm(tmp / "d.pfm", rng.standard_normal((3, 3)))
         for path in tmp.iterdir():
             files[path.name] = path.read_bytes()
+    files["c.pgm"] = b"P2\n2 3\n255\n" + b"".join(b"%d %d\n" % tuple(r) for r in ascii_rows)
     files["e.pfm"] = b"Pf\n2 1\n2.5\n" + np.array([2.0, 8.0], dtype=">f4").tobytes()
     return files
 

@@ -287,11 +287,11 @@ def test_alternate_minimization_random_init_seeded():
     a = alternate_minimization(e, 1e-2, 10.0, 10, init="random", seed=5)
     b = alternate_minimization(e, 1e-2, 10.0, 10, init="random", seed=5)
     assert np.array_equal(a.basis, b.basis)
-    given_fit = alternate_minimization(
-        e, 1e-2, 10.0, 10, init="given", basis0=np.eye(2) * 8
-    )
-    assert given_fit.q_trajectory[0] == pytest.approx(
-        q_energy(np.eye(2) * 8, np.zeros((6, 2)), e, 1e-2, 10.0)
+    # the initial basis: the direct orthogonal pair on the seeded edge
+    pick = e[np.random.default_rng(5).integers(0, 6)]
+    basis0 = np.array([[pick[0], pick[1]], [-pick[1], pick[0]]])
+    assert a.q_trajectory[0] == pytest.approx(
+        q_energy(basis0, np.zeros((6, 2)), e, 1e-2, 10.0)
     )
 
 

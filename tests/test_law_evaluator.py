@@ -16,8 +16,8 @@ from oracles import scalar_fit, scalar_quantile, table_cdf_map, table_quantile_m
 
 from redlab.background import from_exemplar, white_noise, white_noise_law
 from redlab.denoise import nlmeans_a_priori_threshold
-from redlab.detect import OffsetLawTable, offset_laws, stride_mask, window_mask
-from redlab.grid import PatchDomain, as_map
+from redlab.detect import OffsetLawTable, offset_laws, stride_mask
+from redlab.grid import PatchDomain, as_map, centered_coords
 from redlab.quadform import (
     KIND_GAMMA,
     KIND_POINT,
@@ -66,7 +66,7 @@ def masks(rng, shape):
     return [
         None,
         stride_mask(shape, 2),
-        window_mask(shape, 3),
+        np.abs(centered_coords(shape)).max(axis=0) <= 3,  # sup-norm window
         rng.random(shape) < 0.6,
     ]
 
@@ -94,7 +94,8 @@ def test_offset_law_table_maps_bit_identical(mask_kind):
     rng = np.random.default_rng(21)
     u = rng.standard_normal((24, 24))
     shape = u.shape
-    mask = {"none": None, "stride": stride_mask(shape, 3), "window": window_mask(shape, 5)}
+    window = np.abs(centered_coords(shape)).max(axis=0) <= 5
+    mask = {"none": None, "stride": stride_mask(shape, 3), "window": window}
     for model in (from_exemplar(u), white_noise(shape, std=1.3)):
         table = offset_laws(model, PatchDomain(anchor=(20, 3), side=6), mask=mask[mask_kind])
         values = as_map(u, PatchDomain(anchor=(2, 5), side=6))
