@@ -110,38 +110,33 @@ def centered_coords(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     return np.broadcast_to(tx, (h, w)).copy(), np.broadcast_to(ty[:, None], (h, w)).copy()
 
 
-def _indicator(shape: tuple[int, int], patch: PatchDomain) -> np.ndarray:
-    """Patch indicator on the torus (with multiplicities if coords collide)."""
-    h, w = shape
-    ind = np.zeros((h, w))
-    c = patch.coords()
-    np.add.at(ind, (c[:, 1] % h, c[:, 0] % w), 1.0)
-    return ind
-
-
-def _cross_corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Periodic cross-correlation ``t -> sum_x a(x) b(x+t)``."""
-    fa = np.fft.rfft2(a)
-    fb = np.fft.rfft2(b)
-    return np.fft.irfft2(np.conj(fa) * fb, s=a.shape)
-
-
-def as_map(u, patch: PatchDomain) -> np.ndarray:
+def as_map(u, patch) -> np.ndarray:
     """Auto-similarity at every offset of the torus, via FFT correlations.
 
     Uses the expansion of the squared distance into a patch-masked energy
     term, a cross term and a constant; both offset-dependent sums are
     periodic cross-correlations.  Values below ``1e-9 * ||u||^2`` are
     clamped to zero so exact repeats beat any positive threshold.
+
+    ``patch`` may also be a sequence of ``K`` patches: the image is then
+    transformed once, and map ``k`` of the ``(K, h, w)`` result is bit for
+    bit that of ``patch[k]`` alone.  Memory grows with ``K``.
     """
     u = _as_image(u)
-    ind = _indicator(u.shape, patch)
-    term1 = _cross_corr(ind, u * u)
-    term2 = _cross_corr(ind * u, u)
-    out = term1 - 2.0 * term2 + term1[0, 0]
+    single = isinstance(patch, PatchDomain)
+    patches = [patch] if single else patch
+    h, w = u.shape
+    # Patch indicators on the torus (with multiplicities if coords collide).
+    ind = np.zeros((len(patches), h, w))
+    for k, c in enumerate(p.coords() for p in patches):
+        np.add.at(ind[k], (c[:, 1] % h, c[:, 0] % w), 1.0)
+    # Periodic cross-correlations t -> sum_x a(x) b(x+t).
+    term1 = np.fft.irfft2(np.conj(np.fft.rfft2(ind)) * np.fft.rfft2(u * u), s=(h, w))
+    term2 = np.fft.irfft2(np.conj(np.fft.rfft2(ind * u)) * np.fft.rfft2(u), s=(h, w))
+    out = term1 - 2.0 * term2 + term1[:, :1, :1]
     clamp = AS_CLAMP_REL * float(np.sum(u * u))
     out[out < clamp] = 0.0
-    return out
+    return out[0] if single else out
 
 
 def autocorrelation(f) -> np.ndarray:

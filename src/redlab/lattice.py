@@ -28,7 +28,7 @@ import numpy as np
 
 from .background import from_exemplar
 from .detect import offset_laws
-from .grid import PatchDomain, as_map, centered_coords
+from .grid import PatchDomain, as_map
 
 __all__ = [
     "DetectionGraph",
@@ -63,11 +63,9 @@ class DetectionGraph:
 def _torus_components(d_map: np.ndarray) -> list[np.ndarray]:
     """8-connected components of a binary offset map, wrap-aware."""
     h, w = d_map.shape
-    idx_of = -np.ones((h, w), dtype=np.int64)
     cells = np.argwhere(d_map)
-    for k, (iy, ix) in enumerate(cells):
-        idx_of[iy, ix] = k
-    parent = np.arange(len(cells))
+    idx_of = {(int(iy), int(ix)): k for k, (iy, ix) in enumerate(cells)}
+    parent = list(range(len(cells)))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -75,14 +73,12 @@ def _torus_components(d_map: np.ndarray) -> list[np.ndarray]:
             a = parent[a]
         return a
 
-    for k, (iy, ix) in enumerate(cells):
+    for (iy, ix), k in idx_of.items():
         for dy in (-1, 0, 1):
             for dx in (-1, 0, 1):
-                if dy == 0 and dx == 0:
-                    continue
-                j = idx_of[(iy + dy) % h, (ix + dx) % w]
-                if j >= 0:
-                    ra, rb = find(k), find(int(j))
+                j = idx_of.get(((iy + dy) % h, (ix + dx) % w))
+                if j is not None and j != k:
+                    ra, rb = find(k), find(j)
                     if ra != rb:
                         parent[rb] = ra
     groups: dict[int, list[int]] = {}
@@ -102,26 +98,23 @@ def build_graph(d_map: np.ndarray, as_values: np.ndarray) -> DetectionGraph:
     if d_map.shape != np.asarray(as_values).shape:
         raise ValueError("map shape mismatch")
     h, w = d_map.shape
-    ctx, cty = centered_coords((h, w))
     comps = _torus_components(d_map)
-    n_components = len(comps)
     verts: list[tuple[int, int]] = []
     for comp in comps:
         if np.any((comp[:, 0] == 0) & (comp[:, 1] == 0)):
             continue  # origin's component carries no repetition offset
-        best = None
-        for iy, ix in comp:
-            key = (as_values[iy, ix], ctx[iy, ix], cty[iy, ix])
-            if best is None or key < best[0]:
-                best = (key, (int(ctx[iy, ix]), int(cty[iy, ix])))
-        verts.append(best[1])
+        ctx = (comp[:, 1] + w // 2) % w - w // 2  # as in grid.centered_coords
+        cty = (comp[:, 0] + h // 2) % h - h // 2
+        keys = [(as_values[iy, ix], cx, cy) for (iy, ix), cx, cy in zip(comp, ctx, cty)]
+        best = min(range(len(comp)), key=keys.__getitem__)
+        verts.append((int(ctx[best]), int(cty[best])))
     if len(verts) < 2:
         raise GraphTooSmall(f"{len(verts)} vertex(es); need at least 2")
     verts.sort()
     v = np.asarray(verts, dtype=np.int64)
     edges, vec = nearest_neighbor_edges(v)
     return DetectionGraph(
-        vertices=v, edges=edges, edge_vectors=vec, n_components=n_components
+        vertices=v, edges=edges, edge_vectors=vec, n_components=len(comps)
     )
 
 
@@ -334,11 +327,12 @@ def rank_textures(
 
     For each image: build its exemplar background model, fit the law table
     once (the laws do not depend on the patch anchor), then for each of
-    ``n_anchors`` seeded uniform patch positions run detection, build the
-    graph and fit a lattice; the image's score is the median periodicity
-    criterion over the anchors whose graph could be built.  The returned
-    records are sorted by ascending score; images with no successful
-    anchor are reported unranked and sort last (ties keep input order).
+    ``n_anchors`` seeded uniform patch positions (mapped a few at a time by
+    one stacked ``as_map`` call) run detection, build the graph and fit a
+    lattice; the image's score is the median periodicity criterion over
+    the anchors whose graph could be built.  The returned records are
+    sorted by ascending score; images with no successful anchor are
+    reported unranked and sort last (ties keep input order).
     """
     images = [np.asarray(u, dtype=np.float64) for u in images]
     # Validate every image before the first law table is built.
@@ -361,23 +355,24 @@ def rank_textures(
         # are compared at common positions, and the ranking cannot depend
         # on the input order.
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA17C)))
+        patches = []
+        for _ in range(n_anchors):
+            ax, ay = (int(rng.integers(0, n - patch_side + 1)) for n in (w, h))
+            patches.append(PatchDomain(anchor=(ax, ay), side=patch_side))
         values_list: list[float] = []
         n_failed = 0
-        for _ in range(n_anchors):
-            ax = int(rng.integers(0, w - patch_side + 1))
-            ay = int(rng.integers(0, h - patch_side + 1))
-            patch = PatchDomain(anchor=(ax, ay), side=patch_side)
-            values = as_map(u, patch)
-            d_map = laws.detect_by_threshold(values, q)
-            try:
-                graph = build_graph(d_map, values)
-            except GraphTooSmall:
-                n_failed += 1
-                continue
-            fit = alternate_minimization(
-                graph.edge_vectors, delta_b, delta_m, n_iter
-            )
-            values_list.append(c_per(fit, graph.n_components))
+        # Stacks of at most 2**14 map values: one image transform per stack.
+        chunk = max(1, 2**14 // (h * w))
+        for start in range(0, n_anchors, chunk):
+            stack = as_map(u, patches[start : start + chunk])
+            for values, d_map in zip(stack, laws.detect_by_threshold(stack, q)):
+                try:
+                    graph = build_graph(d_map, values)
+                except GraphTooSmall:
+                    n_failed += 1
+                    continue
+                fit = alternate_minimization(graph.edge_vectors, delta_b, delta_m, n_iter)
+                values_list.append(c_per(fit, graph.n_components))
         score = float(np.median(values_list)) if values_list else None
         records.append(
             {

@@ -8,7 +8,8 @@ scalar law CDF and quantile with the vectorised table copies they once
 had, the direct auto-similarity of one offset and the loop map built
 from it, and the NL-means loop that computes every offset's patch
 distances on its own, through freshly padded integral images.
-Independent references live here too: the offset correlation and
+Independent references live here too: the law of an explicit spectrum,
+the offset correlation and
 increment covariance matrix, the dense white-noise increment covariance
 on the plane, and a seeded Monte-Carlo CDF.  They depend only on numpy,
 scipy's special functions, the model's autocorrelation and the patch
@@ -20,8 +21,17 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
-from redlab.background import COV_SIDE_CAP
-from redlab.grid import PatchDomain
+from redlab.background import COV_SIDE_CAP, from_exemplar
+from redlab.detect import offset_laws
+from redlab.grid import PatchDomain, as_map
+from redlab.lattice import (
+    DetectionGraph,
+    GraphTooSmall,
+    alternate_minimization,
+    c_per,
+    nearest_neighbor_edges,
+)
+from redlab.quadform import QuadFormLaw
 
 KIND_WOOD, KIND_GAMMA, KIND_POINT = 0, 1, 2
 
@@ -41,6 +51,15 @@ def _patch_diff_table(coords: np.ndarray, shape: tuple[int, int]):
     inv = inv.ravel()
     counts = np.bincount(inv, minlength=uniq.size).astype(np.float64)
     return uniq, uniq % w, uniq // w, inv.reshape(dx.shape), counts
+
+
+def law_from_eigenvalues(pairs) -> QuadFormLaw:
+    """The law of an explicit spectrum of ``(value, multiplicity)`` pairs."""
+    pairs = [(float(v), int(m)) for v, m in pairs]
+    s1 = sum(v * m for v, m in pairs)
+    s2 = sum(v * v * m for v, m in pairs)
+    s3 = sum(v * v * v * m for v, m in pairs)
+    return QuadFormLaw(k1=s1, k2=2.0 * s2, k3=8.0 * s3)
 
 
 def dense_cumulants(model, t, patch) -> tuple[float, float, float]:
@@ -323,6 +342,144 @@ def table_quantile_map(table, q: float) -> np.ndarray:
         lo[~above] = mid[~above]
     out[live] = hi
     return out
+
+
+def _array_cdf(kind, p0, p1, scale, x) -> np.ndarray:
+    """CDF of equal-shape 1-D arrays of fitted laws at ``x``, branch by
+    branch (point masses excluded)."""
+    out = np.zeros(x.shape)
+    wood = (kind == KIND_WOOD) & (x > 0.0)
+    gam = (kind == KIND_GAMMA) & (x > 0.0)
+    y = x[wood] / scale[wood]
+    out[wood] = special.betainc(p0[wood], p1[wood], y / (1.0 + y))
+    out[gam] = special.gammainc(p0[gam] / 2.0, x[gam] / (2.0 * p1[gam]))
+    return out
+
+
+def bisect_quantile(params, q: float):
+    """Array quantile that evaluates the CDF at every step: up to 1000
+    bracket doublings from ``max(mean, 1)``, then bisection from 0 until
+    the bracket is two adjacent floats.  NaN counts as below ``q``; a 0-d
+    result is a Python float."""
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"quantile level must be in (0,1), got {q}")
+    kind, p0, p1, scale = np.broadcast_arrays(params.kind, params.p0, params.p1, params.scale)
+    live = kind != KIND_POINT
+    kind, p0, p1, scale = kind[live], p0[live], p1[live], scale[live]
+
+    def reaches(todo, x):
+        return _array_cdf(kind[todo], p0[todo], p1[todo], scale[todo], x) >= q
+
+    wood_mean = scale * p0 / np.maximum(p1 - 1.0, 1e-12)
+    hi = np.maximum(np.where(kind == KIND_WOOD, wood_mean, p0 * p1), 1.0)
+    todo = np.arange(hi.size)
+    for _ in range(1000):
+        with np.errstate(invalid="ignore"):
+            todo = todo[~reaches(todo, hi[todo])]
+        if todo.size == 0:
+            break
+        hi[todo] *= 2.0
+    else:
+        raise ArithmeticError("quantile bracket expansion failed")
+    lo = np.zeros_like(hi)
+    todo = np.arange(hi.size)
+    while todo.size:
+        mid = 0.5 * (lo[todo] + hi[todo])
+        gap = (mid != lo[todo]) & (mid != hi[todo])
+        todo, mid = todo[gap], mid[gap]
+        above = reaches(todo, mid)
+        hi[todo[above]] = mid[above]
+        lo[todo[~above]] = mid[~above]
+    out = np.zeros(live.shape)
+    out[live] = hi
+    return float(out) if out.ndim == 0 else out
+
+
+# ------------------------------------------------------------ lattice
+
+
+def _torus_components(d_map: np.ndarray) -> list[np.ndarray]:
+    """8-connected components of a binary offset map, wrap-aware, through
+    a full-size index map."""
+    h, w = d_map.shape
+    idx_of = -np.ones((h, w), dtype=np.int64)
+    cells = np.argwhere(d_map)
+    for k, (iy, ix) in enumerate(cells):
+        idx_of[iy, ix] = k
+    parent = np.arange(len(cells))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for k, (iy, ix) in enumerate(cells):
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                if dy == 0 and dx == 0:
+                    continue
+                j = idx_of[(iy + dy) % h, (ix + dx) % w]
+                if j >= 0:
+                    ra, rb = find(k), find(int(j))
+                    if ra != rb:
+                        parent[rb] = ra
+    groups: dict[int, list[int]] = {}
+    for k in range(len(cells)):
+        groups.setdefault(find(k), []).append(k)
+    return [cells[g] for g in groups.values()]
+
+
+def grid_build_graph(d_map, as_values) -> DetectionGraph:
+    """Detection graph with the centered offsets read from full ``(h, w)``
+    grids: one vertex per component at the statistic's argmin (ties by
+    centered coordinates), the origin's component excluded."""
+    d_map = np.asarray(d_map, dtype=bool)
+    h, w = d_map.shape
+    ctx = np.broadcast_to((np.arange(w) + w // 2) % w - w // 2, (h, w))
+    cty = np.broadcast_to(((np.arange(h) + h // 2) % h - h // 2)[:, None], (h, w))
+    comps = _torus_components(d_map)
+    verts: list[tuple[int, int]] = []
+    for comp in comps:
+        if np.any((comp[:, 0] == 0) & (comp[:, 1] == 0)):
+            continue
+        best = None
+        for iy, ix in comp:
+            key = (as_values[iy, ix], ctx[iy, ix], cty[iy, ix])
+            if best is None or key < best[0]:
+                best = (key, (int(ctx[iy, ix]), int(cty[iy, ix])))
+        verts.append(best[1])
+    if len(verts) < 2:
+        raise GraphTooSmall(f"{len(verts)} vertex(es); need at least 2")
+    verts.sort()
+    v = np.asarray(verts, dtype=np.int64)
+    edges, vec = nearest_neighbor_edges(v)
+    return DetectionGraph(vertices=v, edges=edges, edge_vectors=vec, n_components=len(comps))
+
+
+def anchor_loop_scores(u, n_anchors, patch_side, nfa_max, delta_m, delta_b, n_iter, seed):
+    """One image's ranking record fields, mapping one anchor at a time:
+    ``(n_success, n_failed, c_per_values)``."""
+    u = np.asarray(u, dtype=np.float64)
+    h, w = u.shape
+    laws = offset_laws(from_exemplar(u), PatchDomain(anchor=(0, 0), side=patch_side))
+    q = nfa_max / (h * w)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA17C)))
+    values_list: list[float] = []
+    n_failed = 0
+    for _ in range(n_anchors):
+        ax = int(rng.integers(0, w - patch_side + 1))
+        ay = int(rng.integers(0, h - patch_side + 1))
+        values = as_map(u, PatchDomain(anchor=(ax, ay), side=patch_side))
+        d_map = laws.detect_by_threshold(values, q)
+        try:
+            graph = grid_build_graph(d_map, values)
+        except GraphTooSmall:
+            n_failed += 1
+            continue
+        fit = alternate_minimization(graph.edge_vectors, delta_b, delta_m, n_iter)
+        values_list.append(c_per(fit, graph.n_components))
+    return len(values_list), n_failed, values_list
 
 
 # ------------------------------------------------------------ NL-means

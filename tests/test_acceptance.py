@@ -11,7 +11,13 @@ import math
 import time
 
 import numpy as np
-from oracles import auto_similarity, covariance_matrix, mc_cdf, white_noise_covariance
+from oracles import (
+    auto_similarity,
+    covariance_matrix,
+    law_from_eigenvalues,
+    mc_cdf,
+    white_noise_covariance,
+)
 
 from redlab.background import (
     cumulants,
@@ -37,7 +43,7 @@ from redlab.lattice import (
     update_basis,
     update_coeffs,
 )
-from redlab.quadform import QuadFormLaw, cdf, fit, quantile
+from redlab.quadform import cdf, fit, quantile
 
 
 class Budget:
@@ -109,7 +115,7 @@ def test_c02_cumulants_match_eigendecomposition():
             patch = PatchDomain(anchor=anchor, side=p)
             law = cumulants(model, t, patch)
             lam = np.linalg.eigvalsh(covariance_matrix(model, t, patch))
-            ref = QuadFormLaw.from_eigenvalues([(float(v), 1) for v in lam])
+            ref = law_from_eigenvalues([(float(v), 1) for v in lam])
             for got, want in ((law.k1, ref.k1), (law.k2, ref.k2), (law.k3, ref.k3)):
                 assert abs(got - want) <= 1e-6 * max(abs(want), 1e-9)
 
@@ -124,7 +130,7 @@ def test_c03_wood_f_cdf_accuracy():
             size = int(rng.integers(3, 101))
             lam = rng.uniform(0.0, 5.0, size=size)
             lam[lam == 0.0] = 1e-3
-            law = QuadFormLaw.from_eigenvalues([(float(v), 1) for v in lam])
+            law = law_from_eigenvalues([(float(v), 1) for v in lam])
             params = fit(law)
             probes = np.array(
                 [quantile(params, q) for q in (0.05, 0.25, 0.5, 0.75, 0.95)]

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import covariance_matrix, delta_map, white_noise_covariance
+from oracles import covariance_matrix, delta_map, law_from_eigenvalues, white_noise_covariance
 
 from redlab.background import (
     cumulants,
@@ -19,7 +19,7 @@ from redlab.quadform import QuadFormLaw
 def law_from_matrix(c: np.ndarray) -> QuadFormLaw:
     """Eigendecomposition-based cumulants (independent of the trace path)."""
     lam = np.linalg.eigvalsh(c)
-    return QuadFormLaw.from_eigenvalues([(float(v), 1) for v in lam])
+    return law_from_eigenvalues([(float(v), 1) for v in lam])
 
 
 # ----------------------------------------------------------------- models
@@ -153,7 +153,7 @@ def test_cumulants_zero_offset_degenerate():
     rng = np.random.default_rng(6)
     model = from_exemplar(rng.standard_normal((12, 12)))
     law = cumulants(model, (0, 0), PatchDomain(side=4))
-    assert law.degenerate and law.k2 == 0.0 and law.k3 == 0.0
+    assert law.k1 == 0.0 and law.k2 == 0.0 and law.k3 == 0.0
 
 
 def test_cumulants_match_dense_eigendecomposition():
@@ -190,7 +190,7 @@ def test_exact_period_offsets_yield_degenerate_law():
     u = np.tile(tile, (3, 3))  # exactly periodic with period (4, 4)
     model = from_exemplar(u)
     law = cumulants(model, (4, 0), PatchDomain(side=3))
-    assert law.degenerate
+    assert law.k1 == 0.0
 
 
 # ------------------------------------------------- white-noise eigenvalues
@@ -273,9 +273,9 @@ def _white_noise_oracle(p: int, t) -> QuadFormLaw:
     dense traces of the increment covariance on the axes."""
     tx, ty = abs(t[0]), abs(t[1])
     if max(tx, ty) >= p:
-        return QuadFormLaw.from_eigenvalues([(2.0, p * p)])
+        return law_from_eigenvalues([(2.0, p * p)])
     if tx and ty:
-        return QuadFormLaw.from_eigenvalues(white_noise_eigenvalues(p, t))
+        return law_from_eigenvalues(white_noise_eigenvalues(p, t))
     c = white_noise_covariance(p, t)
     return QuadFormLaw(
         float(np.trace(c)), 2.0 * float(np.sum(c * c)), 8.0 * float(np.sum(c * (c @ c)))

@@ -125,6 +125,36 @@ def test_as_map_zero_at_stripe_periods():
         assert m[(4 * k) % 16, 0] == 0.0
 
 
+def _random_square(rng, shape, side):
+    h, w = shape
+    return PatchDomain(anchor=(int(rng.integers(0, w)), int(rng.integers(0, h))), side=side)
+
+
+def _random_coords(rng, shape, n):
+    h, w = shape
+    cells = rng.choice(3 * h * w, size=n, replace=False)  # beyond one period
+    return PatchDomain(coords_list=tuple((int(c % (3 * w)), int(c // (3 * w))) for c in cells))
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (37, 23)])
+def test_as_map_stack_matches_single_patch_maps(shape):
+    rng = np.random.default_rng(sum(shape))
+    u = rng.uniform(0, 255, shape)
+    h, w = shape
+    patches = (
+        [_random_square(rng, shape, 7) for _ in range(5)]  # anchors near the edges wrap
+        + [PatchDomain(anchor=(w - 2, h - 3), side=6)]  # wraps on both axes
+        + [_random_coords(rng, shape, 9) for _ in range(3)]
+        + [PatchDomain(anchor=(1, 2), side=max(h, w) + 3)]  # coordinates collide
+    )
+    for k in (1, 4, len(patches)):
+        stack = as_map(u, patches[:k])
+        assert stack.shape == (k, h, w)
+        for i in range(k):
+            assert np.array_equal(stack[i], as_map(u, patches[i]))
+    assert as_map(u, patches[0]).shape == shape
+
+
 # --------------------------------------------------------- autocorrelation
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import anchor_loop_scores, grid_build_graph
 
 from redlab.lattice import (
     GraphTooSmall,
@@ -102,6 +103,28 @@ def test_graph_deterministic_tiebreak():
     d = place((32, 32), [(5, 5), (5, 6), (6, 5), (-10, 2)])
     graph = build_graph(d, values)
     assert [5, 5] in graph.vertices.tolist()
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (9, 13), (2, 5)])
+def test_graph_matches_full_grid_build_on_random_maps(shape):
+    rng = np.random.default_rng(shape[0] * 31 + shape[1])
+    for trial in range(60):
+        d_map = rng.random(shape) < rng.choice([0.03, 0.15, 0.4])
+        d_map[0, :] |= trial % 3 == 0  # a band that wraps across the border
+        d_map[:, -1] |= trial % 5 == 0
+        # Integer values give ties, broken by the centered coordinates.
+        values = rng.integers(0, 3, shape).astype(float)
+        try:
+            want = grid_build_graph(d_map, values)
+        except GraphTooSmall:
+            with pytest.raises(GraphTooSmall):
+                build_graph(d_map, values)
+            continue
+        got = build_graph(d_map, values)
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.edges, want.edges)
+        assert np.array_equal(got.edge_vectors, want.edge_vectors)
+        assert got.n_components == want.n_components
 
 
 # ------------------------------------------------------------------ energy
@@ -406,3 +429,26 @@ def test_rank_singleton_and_order_invariance():
 def test_rank_rejects_small_images():
     with pytest.raises(ValueError):
         rank_textures([np.zeros((10, 10))], n_anchors=2, patch_side=20)
+
+
+@pytest.mark.parametrize("shape, n_anchors", [((48, 48), 17), ((40, 44), 20)])
+def test_rank_records_match_the_per_anchor_loop(shape, n_anchors):
+    # 2**14 // (48 * 48) = 7 anchors a stack, 9 at 40 x 44: several stacks
+    # and a partial last one.  The stripes give some infinite scores.
+    rng = np.random.default_rng(13)
+    h, w = shape
+    ys, xs = np.mgrid[0:h, 0:w]
+    images = [
+        checkerboard(shape) + rng.normal(0.0, 10.0, shape),
+        rng.uniform(0, 255, shape),  # every anchor fails
+        128.0 + 80.0 * np.sign(np.sin(2 * np.pi * (xs + ys) / 10)) + rng.normal(0.0, 10.0, shape),
+        checkerboard(shape, cell=8) + rng.normal(0.0, 30.0, shape),
+    ]
+    records = rank_textures(images, n_anchors=n_anchors, patch_side=12, nfa_max=2.0, seed=5)
+    for rec in records:
+        n_success, n_failed, values = anchor_loop_scores(
+            images[rec["index"]], n_anchors, 12, 2.0, 10.0, 1e-2, 10, 5
+        )
+        assert (rec["n_success"], rec["n_failed"]) == (n_success, n_failed)
+        assert rec["c_per_values"] == values
+        assert rec["score"] == (float(np.median(values)) if values else None)

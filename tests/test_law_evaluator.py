@@ -5,15 +5,26 @@ Agreement contract: the law-table maps are bit-identical to the old
 vectorised ``cdf_map`` and 80-halving ``quantile_map`` (the new bisection
 stops at adjacent floats, a fixed point of further halvings, which the old
 80 halvings reach on these tables); the scalar quantile agrees with the old
-one, which stopped at 1e-10 relative width, to 1e-10 relative.
+one, which stopped at 1e-10 relative width, to 1e-10 relative.  The
+bracketed quantile search is bit-identical to ``bisect_quantile``, the
+same search evaluating the CDF at every step, whatever the closed-form
+inverses that seed its bracket return.
 """
 
 import types
 
 import numpy as np
 import pytest
-from oracles import scalar_fit, scalar_quantile, table_cdf_map, table_quantile_map
+from oracles import (
+    bisect_quantile,
+    law_from_eigenvalues,
+    scalar_fit,
+    scalar_quantile,
+    table_cdf_map,
+    table_quantile_map,
+)
 
+from redlab import quadform
 from redlab.background import from_exemplar, white_noise, white_noise_law
 from redlab.denoise import nlmeans_a_priori_threshold
 from redlab.detect import OffsetLawTable, offset_laws, stride_mask
@@ -139,6 +150,112 @@ def test_a_priori_thresholds_match_per_class_loop():
                 assert abs(a_map[ty + c, tx + c] - want) <= 1e-10 * want
 
 
+# ------------------------------------------- bracketed quantile search
+
+LEVELS = (1e-7, 1.0 / 2304, 0.5, 1.0 - 1e-4, 1.0 - 1e-9)
+
+
+def assert_quantile_contract(params, q, x):
+    """``cdf(x) >= q > cdf(prev(x))`` at every live entry."""
+    fields = [np.asarray(a) for a in (params.kind, params.p0, params.p1, params.scale)]
+    live = fields[0] != KIND_POINT
+    law = WoodFParams(*(a[live] for a in fields))
+    x = np.asarray(x)[live]
+    assert np.all(cdf(law, x) >= q)
+    assert np.all(cdf(law, np.nextafter(x, 0.0)) < q)
+
+
+@pytest.mark.parametrize("q", LEVELS)
+def test_quantile_matches_full_bisection_on_random_laws(q):
+    rng = np.random.default_rng(int(q * 1e9) % 1000)
+    k = random_cumulants(rng, 600)
+    # Repeated laws, as a law table holds them at t and -t.
+    params = fit(QuadFormLaw(*(np.concatenate([a, a[::-3]]) for a in k)))
+    got = quantile(params, q)
+    assert np.array_equal(got, bisect_quantile(params, q))
+    assert_quantile_contract(params, q, got)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_quantile_map_matches_full_bisection_on_masked_tables(seed):
+    rng = np.random.default_rng(40 + seed)
+    shape = (12, 14)
+    for mask in masks(rng, shape):
+        table = random_table(rng, shape, mask)
+        live = table.kind != KIND_POINT
+        if mask is not None:
+            live &= mask
+        for q in LEVELS:
+            want = np.where(live, bisect_quantile(table.params, q), 0.0)
+            assert np.array_equal(table.quantile_map(q), want)
+
+
+def test_quantile_matches_full_bisection_on_0d_laws():
+    rng = np.random.default_rng(44)
+    params = fit(QuadFormLaw(*random_cumulants(rng, 25)))
+    for law in zip(params.kind, params.p0, params.p1, params.scale):
+        single = WoodFParams(int(law[0]), *(float(a) for a in law[1:]))
+        for q in LEVELS:
+            got = quantile(single, q)
+            assert type(got) is float
+            assert got == bisect_quantile(single, q)
+
+
+def test_denoise_class_thresholds_match_full_bisection():
+    for p, c, nfa in ((8, 10, 4.41), (5, 4, 2.0), (3, 6, 0.25)):
+        a_map, _ = nlmeans_a_priori_threshold(p, c, nfa)
+        ty, tx = np.abs(np.mgrid[-c : c + 1, -c : c + 1])
+        pairs = np.stack([np.minimum(tx, ty).ravel(), np.maximum(tx, ty).ravel()], axis=1)
+        classes, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        want = bisect_quantile(fit(white_noise_law(p, classes)), 1.0 - nfa / (2 * c + 1) ** 2)
+        assert np.array_equal(a_map, want[inverse.ravel()].reshape(a_map.shape))
+
+
+def _off_by(fn, rel):
+    return lambda *args: fn(*args) * (1.0 + rel)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda fn: lambda *args: np.full(np.broadcast(*args).shape, np.nan),
+        lambda fn: lambda *args: np.zeros(np.broadcast(*args).shape),
+        lambda fn: _off_by(fn, 1e-6),
+        lambda fn: _off_by(fn, 2.0**-43),
+    ],
+    ids=["nan", "zero", "rel-1e-6", "rel-2^-43"],
+)
+def test_quantile_bits_survive_wrong_closed_form_inverses(monkeypatch, make):
+    rng = np.random.default_rng(45)
+    params = fit(QuadFormLaw(*random_cumulants(rng, 300)))
+    want = {q: bisect_quantile(params, q) for q in LEVELS}
+    for name in ("betaincinv", "gammaincinv"):
+        monkeypatch.setattr(quadform.special, name, make(getattr(quadform.special, name)))
+    for q in LEVELS:
+        got = quantile(params, q)
+        assert np.array_equal(got, want[q])
+        assert_quantile_contract(params, q, got)
+
+
+def test_quantile_evaluates_few_steps_per_law(monkeypatch):
+    # A rank-sized exemplar table at q = 1/|domain|: the verified bracket
+    # leaves about 14 of the search's 60-odd steps to the CDF.
+    u = np.random.default_rng(46).standard_normal((32, 32))
+    params = offset_laws(from_exemplar(u), PatchDomain(side=10)).params
+    n_live = int(np.sum(params.kind != KIND_POINT))
+    evaluated = []
+    real_cdf = quadform.cdf
+
+    def counted(law, x):
+        evaluated.append(np.size(x))
+        return real_cdf(law, x)
+
+    monkeypatch.setattr(quadform, "cdf", counted)
+    got = quantile(params, 1.0 / u.size)
+    assert np.array_equal(got, bisect_quantile(params, 1.0 / u.size))
+    assert sum(evaluated) <= 20 * n_live
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_unclosable_bracket_raises():
     # The doubled bracket overflows, the Wood F ratio inf/inf is NaN, and
@@ -161,8 +278,8 @@ def test_unclosable_bracket_raises():
 
 def test_scalar_calls_return_python_floats():
     for law in (
-        QuadFormLaw.from_eigenvalues([(1.0, 3), (5.0, 1)]),
-        QuadFormLaw.from_eigenvalues([(0.7, 4)]),
+        law_from_eigenvalues([(1.0, 3), (5.0, 1)]),
+        law_from_eigenvalues([(0.7, 4)]),
         QuadFormLaw(0.0, 0.0, 0.0),
     ):
         params = fit(law)
@@ -172,7 +289,7 @@ def test_scalar_calls_return_python_floats():
 
 
 def test_cdf_broadcasts_one_law_over_points():
-    params = fit(QuadFormLaw.from_eigenvalues([(1.0, 3), (5.0, 1)]))
+    params = fit(law_from_eigenvalues([(1.0, 3), (5.0, 1)]))
     xs = np.array([[-1.0, 0.0], [2.0, 40.0]])
     got = cdf(params, xs)
     assert got.shape == xs.shape

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mc_cdf
+from oracles import law_from_eigenvalues, mc_cdf
 from scipy import stats
 
 from redlab.quadform import KIND_POINT, KIND_WOOD, QuadFormLaw, cdf, fit, quantile
@@ -12,7 +12,7 @@ def random_law(rng, max_size=100):
     size = int(rng.integers(3, max_size + 1))
     lam = rng.uniform(0.0, 5.0, size=size)
     lam[lam == 0.0] = 1e-3
-    return lam, QuadFormLaw.from_eigenvalues([(float(v), 1) for v in lam])
+    return lam, law_from_eigenvalues([(float(v), 1) for v in lam])
 
 
 # -------------------------------------------------------------------- laws
@@ -21,7 +21,7 @@ def random_law(rng, max_size=100):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.floats(0, 8), st.integers(1, 5)), min_size=1, max_size=8))
 def test_cumulants_from_eigenvalues(pairs):
-    law = QuadFormLaw.from_eigenvalues(pairs)
+    law = law_from_eigenvalues(pairs)
     s1 = sum(v * m for v, m in pairs)
     s2 = sum(v**2 * m for v, m in pairs)
     s3 = sum(v**3 * m for v, m in pairs)
@@ -57,19 +57,19 @@ def test_equal_eigenvalues_recover_scaled_chi_square():
 
 
 def test_chi2_3_cdf_value():
-    params = fit(QuadFormLaw.from_eigenvalues([(1.0, 3)]))
+    params = fit(law_from_eigenvalues([(1.0, 3)]))
     assert abs(cdf(params, 7.815) - 0.95) <= 5e-3
 
 
 def test_chi2_1_quantile():
-    params = fit(QuadFormLaw.from_eigenvalues([(1.0, 1)]))
+    params = fit(law_from_eigenvalues([(1.0, 1)]))
     assert quantile(params, 0.95) == pytest.approx(3.841, rel=0.01)
 
 
 def test_wood_solve_exact_moments():
     # Mixed spectrum with a closed-form solution; check the fitted raw
     # moments against the targets.
-    law = QuadFormLaw.from_eigenvalues([(1.0, 3), (5.0, 1)])
+    law = law_from_eigenvalues([(1.0, 3), (5.0, 1)])
     params = fit(law)
     assert params.kind == KIND_WOOD
     a1, a2, b = params.p0, params.p1, params.scale
@@ -96,7 +96,7 @@ def test_cdf_monotone_bounded_many_params():
 
 
 def test_cdf_limits():
-    params = fit(QuadFormLaw.from_eigenvalues([(0.7, 4)]))
+    params = fit(law_from_eigenvalues([(0.7, 4)]))
     assert cdf(params, -1.0) == 0.0
     assert cdf(params, 0.0) == 0.0
     assert cdf(params, 1e9) == pytest.approx(1.0, abs=1e-9)
@@ -119,7 +119,7 @@ def test_mean_recovered_by_quadrature():
 
 
 def test_scale_equivariance():
-    law = QuadFormLaw.from_eigenvalues([(0.5, 2), (2.0, 3), (4.0, 1)])
+    law = law_from_eigenvalues([(0.5, 2), (2.0, 3), (4.0, 1)])
     base = fit(law)
     for s in (0.1, 10.0):
         scaled = fit(QuadFormLaw(s * law.k1, s * s * law.k2, s**3 * law.k3))
@@ -131,7 +131,7 @@ def test_scale_equivariance():
 
 
 def test_quantile_roundtrip_in_bulk():
-    law = QuadFormLaw.from_eigenvalues([(1.0, 2), (3.0, 2)])
+    law = law_from_eigenvalues([(1.0, 2), (3.0, 2)])
     params = fit(law)
     for x in (2.0, 5.0, 9.0, 15.0):
         assert quantile(params, cdf(params, x)) == pytest.approx(x, rel=1e-6)
@@ -140,7 +140,7 @@ def test_quantile_roundtrip_in_bulk():
 
 
 def test_quantile_domain():
-    params = fit(QuadFormLaw.from_eigenvalues([(1.0, 1)]))
+    params = fit(law_from_eigenvalues([(1.0, 1)]))
     for q in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             quantile(params, q)
