@@ -110,7 +110,7 @@ def centered_coords(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     return np.broadcast_to(tx, (h, w)).copy(), np.broadcast_to(ty[:, None], (h, w)).copy()
 
 
-def as_map(u, patch) -> np.ndarray:
+def as_map(u, patch: PatchDomain | list[PatchDomain]) -> np.ndarray:
     """Auto-similarity at every offset of the torus, via FFT correlations.
 
     Uses the expansion of the squared distance into a patch-masked energy

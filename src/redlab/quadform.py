@@ -184,9 +184,8 @@ def quantile(params: WoodFParams, q: float):
     kind, p0, p1, scale = np.broadcast_arrays(params.kind, params.p0, params.p1, params.scale)
     live = kind != KIND_POINT
     # Equal laws, such as a law table's laws at t and -t, share one search.
-    rows = np.stack([a[live] for a in (kind, p0, p1, scale)], axis=1)
-    keys = rows.view(np.dtype((np.void, 4 * rows.itemsize))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rows = np.stack([a[live] for a in (kind, p0, p1, scale)], axis=1, dtype=np.float64)
+    _, first, inverse = np.unique(rows.view("V32").ravel(), return_index=True, return_inverse=True)
     law = _take(WoodFParams(kind[live], p0[live], p1[live], scale[live]), first)
     low, high = _bracket(law, q)
 
@@ -194,7 +193,8 @@ def quantile(params: WoodFParams, q: float):
         # NaN (an overflowed Wood F ratio) counts as below q.
         out = x > high[todo]
         inside = np.flatnonzero(~out & (x >= low[todo]))
-        out[inside] = cdf(_take(law, todo[inside]), x[inside]) >= q
+        if inside.size:
+            out[inside] = cdf(_take(law, todo[inside]), x[inside]) >= q
         return out
 
     # A fitted alpha2 exceeds 3; the floor keeps the unused Wood F means
