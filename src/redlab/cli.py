@@ -7,7 +7,7 @@ run writes a ``manifest.json`` capturing the resolved parameters (and the
 seed of the seeded commands); rerunning with the same manifest reproduces
 outputs byte for byte.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 invalid input or I/O error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -367,12 +367,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # LinAlgError subclasses ValueError, so numerical failures go first.
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@ A noisy patch is denoised by averaging, over a bounded search window, the
 patches whose squared distance to it stays below a per-offset threshold.
 Thresholds are upper quantiles of the distance law under unit white noise
 scaled by the noise variance, so the expected number of *rejected* patches
-in pure noise is controlled.  The classical exponentially-weighted
-NL-means is provided for comparison, along with PSNR and a diagnostic
-radius bounding the patch reconstruction error.
+in pure noise is controlled; each call computes them afresh from one law
+per window offset.  The classical exponentially-weighted NL-means is
+provided for comparison, along with PSNR and a diagnostic radius
+bounding the patch reconstruction error.
 
 Unlike detection, denoising never wraps patches: only windows fully inside
 the image take part, and the final pixel estimate averages the available
@@ -40,9 +41,6 @@ __all__ = [
     "psnr",
     "reconstruction_bound",
 ]
-
-_threshold_cache: dict[tuple, tuple[np.ndarray, float]] = {}
-
 
 @dataclass(frozen=True)
 class DenoiseConfig:
@@ -92,38 +90,25 @@ def nlmeans_a_priori_threshold(
     Returns the ``(2c+1, 2c+1)`` threshold map indexed ``[ty+c, tx+c]``
     (zero at the origin, which is always selected) and the mean threshold
     over the nonzero offsets, 0 when ``c = 0`` leaves none.  Thresholds
-    are quantiles at level ``1 - nfa_max / |T|``; they depend on the
-    offset only through the unordered pair of component magnitudes, and
-    are constant once the offset clears the patch.
+    are the quantiles of each offset's law at level ``1 - nfa_max / |T|``:
+    infinite at ``nfa_max = 0`` and zero at ``nfa_max = |T|``.  Offsets
+    with equal sorted component magnitudes have bitwise equal laws, which
+    :func:`~redlab.quadform.quantile` searches once.
     """
     n_t = (2 * c + 1) ** 2
-    if not 0 <= nfa_max < n_t:
-        raise ValueError("need 0 <= nfa_max < |T|")
-    key = (p, c, float(nfa_max))
-    if key in _threshold_cache:
-        return _threshold_cache[key]
-    if nfa_max == 0.0:
+    if not 0 <= nfa_max <= n_t:
+        raise ValueError("need 0 <= nfa_max <= |T|")
+    if nfa_max == n_t:
+        a_map = np.zeros((2 * c + 1, 2 * c + 1))
+    elif nfa_max == 0.0:
         a_map = np.full((2 * c + 1, 2 * c + 1), np.inf)
         a_map[c, c] = 0.0
     else:
-        ty, tx = np.abs(np.mgrid[-c : c + 1, -c : c + 1])
-        pairs = np.stack([np.minimum(tx, ty).ravel(), np.maximum(tx, ty).ravel()], axis=1)
-        classes, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        # One law per class (lo, hi); the origin class (0, 0) is the point mass.
-        per_class = quantile(fit(white_noise_law(p, classes)), 1.0 - nfa_max / n_t)
-        a_map = per_class[inverse.ravel()].reshape(2 * c + 1, 2 * c + 1)
+        ty, tx = np.mgrid[-c : c + 1, -c : c + 1]
+        law = white_noise_law(p, np.stack([tx.ravel(), ty.ravel()], axis=1))
+        a_map = quantile(fit(law), 1.0 - nfa_max / n_t).reshape(2 * c + 1, 2 * c + 1)
     mean_a = float(a_map.sum() / (n_t - 1)) if n_t > 1 else 0.0
-    a_map.flags.writeable = False  # the cached map is shared by every caller
-    _threshold_cache[key] = (a_map, mean_a)
-    return _threshold_cache[key]
-
-
-def _thresholds(cfg: DenoiseConfig) -> tuple[np.ndarray, float]:
-    """White-noise threshold map and mean for ``cfg``; ``nfa_max == |T|``
-    rejects every offset but the origin, so all thresholds are zero."""
-    if cfg.nfa_max == cfg.window_size:
-        return np.zeros((2 * cfg.search_radius + 1,) * 2), 0.0
-    return nlmeans_a_priori_threshold(cfg.patch_side, cfg.search_radius, cfg.nfa_max)
+    return a_map, mean_a
 
 
 def _box_sum(buf: np.ndarray, vals: np.ndarray, p: int, pad: int = 0) -> np.ndarray:
@@ -194,12 +179,10 @@ def nlmeans_threshold(u, cfg: DenoiseConfig) -> DenoiseReport:
     h, w = u.shape
     if h < p or w < p:
         raise ValueError("image smaller than patch")
-    a_map, mean_a = _thresholds(cfg)
+    applied, mean_a = nlmeans_a_priori_threshold(p, c, cfg.nfa_max)
     if cfg.threshold_mode == "constant-mean":
         applied = np.full((2 * c + 1, 2 * c + 1), mean_a)
         applied[c, c] = 0.0
-    else:
-        applied = a_map.copy()
     s2 = cfg.sigma**2
 
     n_anchors = (h - p + 1, w - p + 1)
@@ -292,6 +275,7 @@ def reconstruction_bound(cfg: DenoiseConfig, eps: float) -> float:
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0,1)")
-    a_t = float(_thresholds(cfg)[0].max())
+    a_map, _ = nlmeans_a_priori_threshold(cfg.patch_side, cfg.search_radius, cfg.nfa_max)
+    a_t = float(a_map.max())
     a_w = float(special.chdtri(cfg.patch_side**2, eps))
     return cfg.sigma * (math.sqrt(a_t) + math.sqrt(a_w))

@@ -8,9 +8,9 @@ background is then bounded by ``nfa_max``.  Equivalently, the statistic
 itself can be compared against a per-offset quantile threshold.
 
 Laws depend on the offset and the patch shape but not on the patch
-anchor, so they are computed once into an :class:`OffsetLawTable` (the
-law at ``-t`` equals the law at ``t``, halving the work) and reused
-across maps.
+anchor, so they are fitted once into an :class:`OffsetLawTable`, an array
+fit indexed like an offset map (the law at ``-t`` equals the law at
+``t``, halving the work), and reused across maps.
 """
 
 from __future__ import annotations
@@ -36,31 +36,22 @@ __all__ = [
 ]
 
 
-@dataclass
-class OffsetLawTable:
-    """Fitted law parameters for every offset of a map shape.
+@dataclass(frozen=True)
+class OffsetLawTable(WoodFParams):
+    """Fitted laws of every offset of a map shape, with an offset mask.
 
-    ``kind``, ``p0``, ``p1`` and ``scale`` are the ``(h, w)`` fields of
-    one array :class:`~redlab.quadform.WoodFParams` (:attr:`params`), so
-    the maps evaluate through :func:`~redlab.quadform.cdf` and
-    :func:`~redlab.quadform.quantile`; the table only applies ``mask``.
+    The table is one array :class:`~redlab.quadform.WoodFParams` whose
+    ``(h, w)`` fields are indexed like an offset map, so its maps evaluate
+    through :func:`~redlab.quadform.cdf` and
+    :func:`~redlab.quadform.quantile`; the table only applies ``mask`` and
+    keeps each quantile map it has computed.
     """
 
-    shape: tuple[int, int]
-    kind: np.ndarray
-    p0: np.ndarray
-    p1: np.ndarray
-    scale: np.ndarray
     mask: np.ndarray | None = None
     _quantiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def params(self) -> WoodFParams:
-        """The table's laws as one array fit, indexed like an offset map."""
-        return WoodFParams(self.kind, self.p0, self.p1, self.scale)
-
     def fallback_counts(self) -> dict:
-        sel = self.mask if self.mask is not None else np.ones(self.shape, bool)
+        sel = self.mask if self.mask is not None else np.ones(self.kind.shape, bool)
         return {
             "wood_f": int(np.sum((self.kind == KIND_WOOD) & sel)),
             "gamma_two_moment": int(np.sum((self.kind == KIND_GAMMA) & sel)),
@@ -72,7 +63,7 @@ class OffsetLawTable:
 
         Masked offsets get probability 1 (never detected).
         """
-        out = cdf(self.params, values)
+        out = cdf(self, values)
         if self.mask is not None:
             out[~self.mask] = 1.0
         return out
@@ -84,7 +75,7 @@ class OffsetLawTable:
         read-only because every caller shares it.
         """
         if q not in self._quantiles:
-            a_map = np.where(self.live_mask(), quantile(self.params, q), 0.0)
+            a_map = np.where(self.live_mask(), quantile(self, q), 0.0)
             a_map.flags.writeable = False
             self._quantiles[q] = a_map
         return self._quantiles[q]
@@ -140,7 +131,6 @@ def offset_laws(
         return out
 
     return OffsetLawTable(
-        shape=(h, w),
         kind=spread(params.kind, KIND_POINT, np.uint8),
         p0=spread(params.p0),
         p1=spread(params.p1),
@@ -174,20 +164,16 @@ def autosim_detection(
     model: MicrotextureModel,
     nfa_max: float,
     mask: np.ndarray | None = None,
-    laws: OffsetLawTable | None = None,
 ) -> DetectionResult:
     """Detect offsets whose auto-similarity is improbably small.
 
     ``P_map(t)`` is the background CDF of the statistic at its observed
     value and ``D_map(t) = 1`` iff ``P_map(t) <= nfa_max / |domain|``.
-    Masked offsets get ``P_map = 1`` and are never detected.  A
-    precomputed law table may be passed to amortize fits across images
-    drawn from the same model.
+    Masked offsets get ``P_map = 1`` and are never detected.
     """
     if nfa_max < 0:
         raise ValueError("nfa_max must be nonnegative")
-    if laws is None:
-        laws = offset_laws(model, patch, mask=mask)
+    laws = offset_laws(model, patch, mask=mask)
     values = as_map(u, patch)
     p_map = laws.cdf_map(values)
     q = nfa_max / values.size

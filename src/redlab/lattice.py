@@ -275,19 +275,13 @@ def alternate_minimization(
     for it in range(1, n_iter + 1):
         prev_basis, prev_coeffs = basis, coeffs
         cand = round_half_away(update_coeffs(basis, e, delta_m))
-        if q_energy(basis, cand, e, delta_b, delta_m) < q_energy(
-            basis, coeffs, e, delta_b, delta_m
-        ):
+        if q_energy(basis, cand, e, delta_b, delta_m) < q_cur:
             coeffs = cand
         basis = update_basis(coeffs, e, delta_b)
         q_cur = q_energy(basis, coeffs, e, delta_b, delta_m)
         q_traj.append(q_cur)
         lp_traj.append(_log_posterior(q_cur, m))
-        if (
-            converged_at is None
-            and np.array_equal(coeffs, prev_coeffs)
-            and np.array_equal(basis, prev_basis)
-        ):
+        if np.array_equal(coeffs, prev_coeffs) and np.array_equal(basis, prev_basis):
             converged_at = it
             break
     sigma2 = q_cur / (4.0 * (m + 1))

@@ -5,9 +5,10 @@ replace: the dense trace cumulants of the increment covariance ``C_t``
 (one ``n x n`` matrix and one ``n^3`` product per offset), the scalar
 three-branch law fit, the per-offset loop that fills a law table, the
 scalar law CDF and quantile with the vectorised table copies they once
-had, the direct auto-similarity of one offset and the loop map built
-from it, and the NL-means loop that computes every offset's patch
-distances on its own, through freshly padded integral images.
+had, the NL-means thresholds from one law per class of equal offsets,
+the direct auto-similarity of one offset and the loop map built from
+it, and the NL-means loop that computes every offset's patch distances
+on its own, through freshly padded integral images.
 Independent references live here too: the law of an explicit spectrum,
 the offset correlation and
 increment covariance matrix, the dense white-noise increment covariance
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
-from redlab.background import COV_SIDE_CAP, from_exemplar
+from redlab.background import COV_SIDE_CAP, from_exemplar, white_noise_law
 from redlab.detect import offset_laws
 from redlab.grid import PatchDomain, as_map
 from redlab.lattice import (
@@ -31,7 +32,7 @@ from redlab.lattice import (
     c_per,
     nearest_neighbor_edges,
 )
-from redlab.quadform import QuadFormLaw
+from redlab.quadform import QuadFormLaw, fit, quantile
 
 KIND_WOOD, KIND_GAMMA, KIND_POINT = 0, 1, 2
 
@@ -286,7 +287,7 @@ def scalar_quantile(params, q: float) -> float:
 def table_cdf_map(table, values) -> np.ndarray:
     """Vectorised CDF map of a law table; masked offsets get 1."""
     v = np.asarray(values, dtype=np.float64)
-    out = np.ones(table.shape)
+    out = np.ones(table.kind.shape)
     wood = table.kind == KIND_WOOD
     gam = table.kind == KIND_GAMMA
     if table.mask is not None:
@@ -311,7 +312,7 @@ def table_quantile_map(table, q: float) -> np.ndarray:
     live = table.kind != KIND_POINT
     if table.mask is not None:
         live &= table.mask
-    out = np.zeros(table.shape)
+    out = np.zeros(table.kind.shape)
     if not np.any(live):
         return out
     k, p0, p1, sc = (a[live] for a in (table.kind, table.p0, table.p1, table.scale))
@@ -393,6 +394,27 @@ def bisect_quantile(params, q: float):
     out = np.zeros(live.shape)
     out[live] = hi
     return float(out) if out.ndim == 0 else out
+
+
+def class_table_threshold(p: int, c: int, nfa_max: float) -> tuple[np.ndarray, float]:
+    """NL-means white-noise thresholds from one law per class of offsets
+    with equal sorted component magnitudes ``(min|t|, max|t|)``, spread
+    back over the ``(2c+1, 2c+1)`` window; zeros at ``nfa_max == |T|`` and
+    infinite thresholds off the origin at ``nfa_max == 0``."""
+    n_t = (2 * c + 1) ** 2
+    if nfa_max == n_t:
+        a_map = np.zeros((2 * c + 1, 2 * c + 1))
+    elif nfa_max == 0.0:
+        a_map = np.full((2 * c + 1, 2 * c + 1), np.inf)
+        a_map[c, c] = 0.0
+    else:
+        ty, tx = np.abs(np.mgrid[-c : c + 1, -c : c + 1])
+        pairs = np.stack([np.minimum(tx, ty).ravel(), np.maximum(tx, ty).ravel()], axis=1)
+        classes, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        per_class = quantile(fit(white_noise_law(p, classes)), 1.0 - nfa_max / n_t)
+        a_map = per_class[inverse.ravel()].reshape(2 * c + 1, 2 * c + 1)
+    mean_a = float(a_map.sum() / (n_t - 1)) if n_t > 1 else 0.0
+    return a_map, mean_a
 
 
 # ------------------------------------------------------------ lattice

@@ -176,15 +176,24 @@ def test_denoise_reruns_bit_identical(tmp_path, stripe_image, mode):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_denoise_demo_script_runs():
+@pytest.mark.parametrize(
+    "script, args, expected",
+    [
+        ("denoise_demo.py", ["--size", "32"], "classical NL-means"),
+        ("threshold_study.py", [], "threshold profile along the x axis"),
+        ("rank_demo.py", [], "checkerboard+noise"),
+    ],
+    ids=["denoise_demo", "threshold_study", "rank_demo"],
+)
+def test_denoise_demo_script_runs(script, args, expected):
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     run = subprocess.run(
-        [sys.executable, str(root / "scripts" / "denoise_demo.py"), "--size", "32"],
+        [sys.executable, str(root / "scripts" / script), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    assert "classical NL-means" in run.stdout
+    assert expected in run.stdout
 
 
 # ----------------------------------------------------------------- lattice
@@ -205,6 +214,29 @@ def test_lattice_on_board(tmp_path):
     assert (out / "overlay.pgm").exists()
     overlay, _ = read_pgm(out / "overlay.pgm")
     assert overlay.shape == (48, 48)
+
+
+def test_lattice_singular_basis_fit_exits_3(tmp_path, capsys):
+    # dB = 0 with a huge dM rounds every coefficient to zero, so the basis
+    # update solves a singular system: a numerical failure, not bad input.
+    path = tmp_path / "board.pgm"
+    board_image(path)
+    rc = main(
+        ["lattice", str(path), "--patch", "12,12,12", "--nfa", "1", "--dM", "1e6",
+         "--dB", "0", "--out", str(tmp_path / "out")]
+    )
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_out_naming_an_existing_file_exits_2(tmp_path, capsys, stripe_image):
+    path, _ = stripe_image
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    rc = main(["detect", str(path), "--patch", "2,2,4", "--out", str(taken)])
+    assert rc == 2
+    assert str(taken) in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_lattice_insufficient_detections(tmp_path):

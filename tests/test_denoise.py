@@ -75,13 +75,14 @@ def test_threshold_spread_band():
     assert 0.08 <= spread <= 0.18
 
 
-def test_threshold_cache_is_read_only():
-    a_map, _ = nlmeans_a_priori_threshold(4, 3, 1.0)
-    with pytest.raises(ValueError):
-        a_map[0, 0] = -7.0
-    assert nlmeans_a_priori_threshold(4, 3, 1.0)[0][0, 0] > 0
-    with pytest.raises(ValueError):
-        nlmeans_a_priori_threshold(4, 3, 0.0)[0][0, 0] = -7.0
+@pytest.mark.parametrize("nfa", [0.0, 1.0, 49.0])
+def test_mutated_threshold_map_does_not_leak_into_the_next_call(nfa):
+    a_map, mean_a = nlmeans_a_priori_threshold(4, 3, nfa)
+    want = a_map.copy()
+    a_map[0, 0] = -7.0
+    again, mean_again = nlmeans_a_priori_threshold(4, 3, nfa)
+    assert np.array_equal(again, want)
+    assert mean_again == mean_a
 
 
 @pytest.mark.parametrize("nfa", [0.0, 0.5])
@@ -96,8 +97,13 @@ def test_threshold_mean_of_origin_only_window_is_zero(nfa):
 
 
 def test_threshold_validation():
+    # nfa_max == |T| rejects every offset but the origin, as DenoiseConfig
+    # allows: all thresholds are zero.
+    a_map, mean_a = nlmeans_a_priori_threshold(8, 10, 441.0)
+    assert np.array_equal(a_map, np.zeros((21, 21)))
+    assert mean_a == 0.0
     with pytest.raises(ValueError):
-        nlmeans_a_priori_threshold(8, 10, 441.0)
+        nlmeans_a_priori_threshold(8, 10, 441.5)
     with pytest.raises(ValueError):
         nlmeans_a_priori_threshold(8, 10, -0.1)
 
@@ -158,7 +164,6 @@ def test_weight_maps_are_not_held_at_once():
     rng = np.random.default_rng(13)
     u = 128.0 + 40.0 * rng.standard_normal((128, 128))
     cfg = DenoiseConfig(sigma=20.0, patch_side=8, search_radius=10)
-    nlmeans_a_priori_threshold(8, 10, cfg.nfa_max)  # cached before tracing
     tracemalloc.start()
     try:
         nlmeans_threshold(u, cfg)
@@ -235,7 +240,9 @@ def test_threshold_mirror_uses_its_own_threshold(monkeypatch):
 
     rng = np.random.default_rng(21)
     a_map = rng.uniform(0.0, 40.0, size=(9, 9))
-    monkeypatch.setattr(denoise_module, "_thresholds", lambda cfg: (a_map, 20.0))
+    monkeypatch.setattr(
+        denoise_module, "nlmeans_a_priori_threshold", lambda p, c, nfa: (a_map, 20.0)
+    )
     u = _agreement_image((23, 37), False, seed=21)
     cfg = DenoiseConfig(
         sigma=5.0, patch_side=2, search_radius=4, threshold_mode="per-offset"

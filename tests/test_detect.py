@@ -191,9 +191,8 @@ def test_detect_monotone_in_nfa():
     u = rng.standard_normal((20, 20))
     model = from_exemplar(u)
     patch = PatchDomain(side=4)
-    laws = offset_laws(model, patch)
-    lo = autosim_detection(u, patch, model, 0.5, laws=laws)
-    hi = autosim_detection(u, patch, model, 20.0, laws=laws)
+    lo = autosim_detection(u, patch, model, 0.5)
+    hi = autosim_detection(u, patch, model, 20.0)
     assert np.all(hi.d_map >= lo.d_map)
 
 
@@ -205,7 +204,7 @@ def test_detect_route_equivalence():
     laws = offset_laws(model, patch)
     nfa = 37.0
     q = nfa / 1024
-    res = autosim_detection(u, patch, model, nfa, laws=laws)
+    res = autosim_detection(u, patch, model, nfa)
     via_threshold = laws.detect_by_threshold(res.as_values, q)
     assert np.array_equal(res.d_map, via_threshold)
 
@@ -232,11 +231,10 @@ def test_detect_calibration_light():
     exemplar = rng.standard_normal((16, 16))
     model = from_exemplar(exemplar)
     patch = PatchDomain(side=3)
-    laws = offset_laws(model, patch)
     counts = []
     for s in range(60):
         u = sample(model, 1000 + s)
-        res = autosim_detection(u, patch, model, 1.0, laws=laws)
+        res = autosim_detection(u, patch, model, 1.0)
         counts.append(res.n_detected)
     counts = np.array(counts)
     se = counts.std(ddof=1) / np.sqrt(len(counts))

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from oracles import (
     bisect_quantile,
+    class_table_threshold,
     law_from_eigenvalues,
     scalar_fit,
     scalar_quantile,
@@ -70,7 +71,7 @@ def random_table(rng, shape, mask) -> OffsetLawTable:
     params = fit(QuadFormLaw(k1, k2, k3))
     kinds = set(np.unique(params.kind))
     assert kinds == {KIND_WOOD, KIND_GAMMA, KIND_POINT}
-    return OffsetLawTable(shape, params.kind, params.p0, params.p1, params.scale, mask=mask)
+    return OffsetLawTable(params.kind, params.p0, params.p1, params.scale, mask=mask)
 
 
 def masks(rng, shape):
@@ -111,6 +112,9 @@ def test_offset_law_table_maps_bit_identical(mask_kind):
         table = offset_laws(model, PatchDomain(anchor=(20, 3), side=6), mask=mask[mask_kind])
         values = as_map(u, PatchDomain(anchor=(2, 5), side=6))
         assert np.array_equal(table.cdf_map(values), table_cdf_map(table, values))
+        # The table is its own fit: off the mask its map is the plain CDF.
+        live = np.ones(shape, bool) if table.mask is None else table.mask
+        assert np.array_equal(cdf(table, values)[live], table.cdf_map(values)[live])
         q = 1.0 / u.size
         assert np.array_equal(table.quantile_map(q), table_quantile_map(table, q))
 
@@ -137,6 +141,21 @@ def test_array_quantile_matches_elementwise_calls():
         for k, a, b, s in zip(params.kind, params.p0, params.p1, params.scale)
     ]
     assert np.array_equal(batch, singles)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 8, 11, 16])
+def test_a_priori_thresholds_match_class_table(p):
+    # Offsets with equal sorted component magnitudes have bitwise equal
+    # white-noise laws, so one law per offset gives the class table's bits.
+    for c in (0, 1, 2, 3, 5, 10, 14):
+        n_t = (2 * c + 1) ** 2
+        for nfa in sorted({0.0, 0.05, 0.5, 1.0, 4.41, 10.0, float(n_t)}):
+            if nfa > n_t:
+                continue
+            a_map, mean_a = nlmeans_a_priori_threshold(p, c, nfa)
+            want_map, want_mean = class_table_threshold(p, c, nfa)
+            assert np.array_equal(a_map, want_map), (p, c, nfa)
+            assert mean_a == want_mean
 
 
 def test_a_priori_thresholds_match_per_class_loop():
@@ -186,7 +205,7 @@ def test_quantile_map_matches_full_bisection_on_masked_tables(seed):
         if mask is not None:
             live &= mask
         for q in LEVELS:
-            want = np.where(live, bisect_quantile(table.params, q), 0.0)
+            want = np.where(live, bisect_quantile(table, q), 0.0)
             assert np.array_equal(table.quantile_map(q), want)
 
 
@@ -241,7 +260,7 @@ def test_quantile_evaluates_few_steps_per_law(monkeypatch):
     # A rank-sized exemplar table at q = 1/|domain|: the verified bracket
     # leaves about 14 of the search's 60-odd steps to the CDF.
     u = np.random.default_rng(46).standard_normal((32, 32))
-    params = offset_laws(from_exemplar(u), PatchDomain(side=10)).params
+    params = offset_laws(from_exemplar(u), PatchDomain(side=10))
     n_live = int(np.sum(params.kind != KIND_POINT))
     evaluated = []
     real_cdf = quadform.cdf
@@ -271,7 +290,7 @@ def test_unclosable_bracket_raises():
     )
     with pytest.raises(ArithmeticError):
         quantile(laws, 1.0 - 1e-12)
-    table = OffsetLawTable((1, 3), *(a[None] for a in (laws.kind, laws.p0, laws.p1, laws.scale)))
+    table = OffsetLawTable(*(a[None] for a in (laws.kind, laws.p0, laws.p1, laws.scale)))
     with pytest.raises(ArithmeticError):
         table.quantile_map(1.0 - 1e-12)
 
