@@ -25,6 +25,8 @@ large to wrap.  The closed-form white-noise spectrum of square patches
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -53,7 +55,8 @@ COV_SIDE_CAP = 4096
 # Entries per stacked array in the cumulant engine (512 KiB of float64): a
 # chunk holds max(1, _CHUNK_ENTRIES // (2p - 1)^2) offsets of a p x p
 # patch (291 at p = 8, 43 at p = 20), so memory stays flat however many
-# offsets are evaluated.  Larger chunks run no faster.
+# offsets are evaluated.  Chunks are also the unit of parallelism: up to
+# two threads take them in turn.  Results do not depend on the chunk size.
 _CHUNK_ENTRIES = 2**16
 
 # delta(t,0) below this fraction of Gamma(0) is round-off from an exact
@@ -178,7 +181,9 @@ def _square_traces(d: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         x = np.matmul(d[:, s:], g)  # rows ax >= s - p + 1, so |s - ax| < p
         rows = np.arange(s, side)
         pair = np.einsum("mij,mij->mi", x, rev[:, : side - s])
-        term = pair @ m[rows, side - 1 + s - rows]
+        # einsum, not a BLAS product: BLAS sums in an order that depends on
+        # the number of rows, which would tie an offset's bits to its chunk.
+        term = np.einsum("mi,i->m", pair, m[rows, side - 1 + s - rows])
         tr3 += term if s == 0 else 2.0 * term
     return tr2, tr3
 
@@ -205,6 +210,10 @@ def cumulants(model: MicrotextureModel, t, patch: PatchDomain) -> QuadFormLaw:
     is round-off relative to ``Gamma(0)`` give the degenerate law.  With
     several offsets, the error raised is the one the first failing offset
     raises alone.
+
+    Chunks run on ``min(2, os.cpu_count(), chunks)`` threads, with no pool
+    for one.  An offset's cumulants are bitwise the same whatever its chunk,
+    so they do not depend on the chunk size, the mask or the thread count.
     """
     offsets = np.asarray(t, dtype=np.int64)
     if offsets.ndim not in (1, 2) or offsets.shape[-1] != 2:
@@ -237,10 +246,18 @@ def cumulants(model: MicrotextureModel, t, patch: PatchDomain) -> QuadFormLaw:
     k1, k2, k3 = (np.zeros(len(d0)) for _ in range(3))
     k1[live] = n * d0_clamped[live]
     step = max(1, _CHUNK_ENTRIES // entries)
-    for start in range(0, live.size, step):
-        sel = live[start : start + step]
-        tables = _delta_tables(g, tx[sel], ty[sel], d0_clamped[sel], dx, dy)
-        tr2, tr3 = traces(tables)
+    chunks = [live[start : start + step] for start in range(0, live.size, step)]
+
+    def chunk_traces(sel):
+        return traces(_delta_tables(g, tx[sel], ty[sel], d0_clamped[sel], dx, dy))
+
+    workers = min(2, os.cpu_count() or 1, len(chunks))
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(chunk_traces, chunks))
+    else:
+        results = map(chunk_traces, chunks)
+    for sel, (tr2, tr3) in zip(chunks, results):
         k2[sel] = 2.0 * tr2
         k3[sel] = 8.0 * tr3
         neg = k3[sel] < -1e-8 * np.maximum(k2[sel] ** 1.5, 1.0)

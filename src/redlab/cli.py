@@ -41,6 +41,11 @@ def _read_input(path: str) -> tuple[np.ndarray, int]:
     return imgio.read_pgm(path)
 
 
+def _inf_as_str(x: float):
+    """Strict JSON has no infinity; write it as the string ``"inf"``."""
+    return "inf" if x == float("inf") else x
+
+
 def _write_manifest(outdir: Path, command: str, params: dict, outputs: dict) -> None:
     manifest = {
         "schema": 1,
@@ -100,8 +105,8 @@ def _cmd_denoise(args) -> int:
     out_img = outdir / "denoised.pgm"
     imgio.write_pgm(out_img, report.denoised, maxval=maxval)
     stats = {
-        "threshold_mean": report.threshold_mean,
-        "thresholds": report.thresholds.tolist(),
+        "threshold_mean": _inf_as_str(report.threshold_mean),
+        "thresholds": [[_inf_as_str(v) for v in row] for row in report.thresholds.tolist()],
         "selected_min": int(report.selected_counts.min()),
         "selected_max": int(report.selected_counts.max()),
         "selected_histogram": np.bincount(
@@ -112,7 +117,7 @@ def _cmd_denoise(args) -> int:
         clean, _ = _read_input(args.clean)
         stats["psnr_noisy_dB"] = denoise.psnr(clean, u)
         stats["psnr_denoised_dB"] = denoise.psnr(clean, report.denoised)
-    (outdir / "report.json").write_text(json.dumps(stats, indent=2) + "\n")
+    (outdir / "report.json").write_text(json.dumps(stats, indent=2, allow_nan=False) + "\n")
     params = {
         "input": args.input,
         "sigma": args.sigma,
@@ -204,7 +209,7 @@ def _cmd_lattice(args) -> int:
         "vertices": graph.vertices.tolist(),
         "edges": graph.edges.tolist(),
         "edge_vectors": graph.edge_vectors.tolist(),
-        "c_per": score if score != float("inf") else "inf",
+        "c_per": _inf_as_str(score),
         **fit.to_dict(),
     }
     fit_path.write_text(json.dumps(payload, indent=2) + "\n")

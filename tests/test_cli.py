@@ -165,6 +165,24 @@ def test_denoise_origin_only_window_writes_strict_json(tmp_path, stripe_image, n
 
 
 @pytest.mark.parametrize("mode", ["constant-mean", "per-offset"])
+def test_denoise_nfa_zero_writes_infinite_thresholds_as_strings(tmp_path, stripe_image, mode):
+    path, _ = stripe_image
+    out = tmp_path / "out"
+    argv = ["denoise", str(path), "--sigma", "20", "--p", "4", "--c", "2", "--nfa", "0",
+            "--mode", mode, "--out", str(out)]
+    assert main(argv) == 0
+
+    def reject(constant):
+        raise ValueError(f"report.json holds {constant}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["threshold_mean"] == "inf"
+    expected = [["inf"] * 5 for _ in range(5)]
+    expected[2][2] = 0.0
+    assert report["thresholds"] == expected
+
+
+@pytest.mark.parametrize("mode", ["constant-mean", "per-offset"])
 def test_denoise_reruns_bit_identical(tmp_path, stripe_image, mode):
     path, _ = stripe_image
     out1, out2 = tmp_path / "a", tmp_path / "b"

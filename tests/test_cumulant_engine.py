@@ -10,12 +10,14 @@ percent of inputs) by up to about a thousand.
 
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from oracles import dense_cumulants, loop_offset_laws, scalar_fit
 
 import redlab.background as background
+import redlab.detect as detect
 from redlab.background import MicrotextureModel, cumulants, from_exemplar, white_noise
 from redlab.detect import offset_laws, stride_mask
 from redlab.grid import PatchDomain, centered_coords
@@ -100,8 +102,7 @@ def test_one_offset_is_the_batch_case():
     for i, t in enumerate(offsets):
         one = cumulants(model, tuple(int(v) for v in t), patch)
         assert isinstance(one.k1, float) and one.k1 == batch.k1[i]
-        assert one.k2 == pytest.approx(batch.k2[i], rel=1e-14)
-        assert one.k3 == pytest.approx(batch.k3[i], rel=1e-14)
+        assert one.k2 == batch.k2[i] and one.k3 == batch.k3[i]
 
 
 def test_engine_rejects_malformed_offsets():
@@ -121,9 +122,88 @@ def test_engine_memory_is_chunked(monkeypatch):
     whole = cumulants(model, offsets, patch)
     monkeypatch.setattr(background, "_CHUNK_ENTRIES", 3 * 49)
     parts = cumulants(model, offsets, patch)
-    assert np.array_equal(whole.k1, parts.k1)
-    np.testing.assert_allclose(parts.k2, whole.k2, rtol=1e-14)
-    np.testing.assert_allclose(parts.k3, whole.k3, rtol=1e-14)
+    for k in ("k1", "k2", "k3"):
+        assert np.array_equal(getattr(parts, k), getattr(whole, k)), k
+
+
+def set_cpus(monkeypatch, n):
+    monkeypatch.setattr(background.os, "cpu_count", lambda: n)
+
+
+def engine_calls(monkeypatch):
+    """Record the offsets and cumulants of each engine call the law
+    table makes."""
+    calls = []
+
+    def spy(model, t, patch):
+        law = cumulants(model, t, patch)
+        calls.append((np.asarray(t), law))
+        return law
+
+    monkeypatch.setattr(detect, "cumulants", spy)
+    return calls
+
+
+def by_offset(offsets, law, shape):
+    h, w = shape
+    return {
+        (int(tx) % w, int(ty) % h): (law.k1[i], law.k2[i], law.k3[i])
+        for i, (tx, ty) in enumerate(offsets)
+    }
+
+
+def chunk_cases():
+    rng = np.random.default_rng(16)
+    for _ in range(3):
+        h, w = (int(v) for v in rng.integers(6, 16, 2))
+        model = from_exemplar(rng.standard_normal((h, w)) * rng.uniform(0.5, 3.0))
+        p = int(rng.integers(2, max(h, w) + 3))
+        yield model, PatchDomain(anchor=(int(rng.integers(-9, 9)), 3), side=p)
+    model = from_exemplar(rng.standard_normal((9, 11)))
+    yield model, PatchDomain(coords_list=((0, 0), (3, 1), (1, 4), (12, 2), (5, 5)))
+    tile = rng.standard_normal((4, 5))
+    yield from_exemplar(np.tile(tile, (3, 2))), PatchDomain(anchor=(2, 1), side=6)
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_cumulants_are_bitwise_independent_of_chunks_masks_and_threads(case, monkeypatch):
+    model, patch = list(chunk_cases())[case]
+    h, w = model.shape
+    rng = np.random.default_rng(17 + case)
+    set_cpus(monkeypatch, 2)
+    torus = np.stack([a.ravel() for a in np.meshgrid(np.arange(w), np.arange(h))], axis=1)
+    table = by_offset(torus, cumulants(model, torus, patch), model.shape)
+    calls = engine_calls(monkeypatch)
+    offset_laws(model, patch)
+    offset_laws(model, patch, mask=rng.random((h, w)) < 0.4)
+    runs = [by_offset(*call, model.shape) for call in calls]
+    # wrapped offsets, and every exact period of the tiled model
+    offsets = np.concatenate([random_offsets(rng, h, w, 30), [[5, 0], [0, 4], [5, 8]]])
+    per_chunk = (2 * patch.side - 1) ** 2 if patch.is_square else patch.size() ** 2
+    for entries in (1, 7 * per_chunk, background._CHUNK_ENTRIES):
+        monkeypatch.setattr(background, "_CHUNK_ENTRIES", entries)
+        runs.append(by_offset(offsets, cumulants(model, offsets, patch), model.shape))
+    set_cpus(monkeypatch, 1)
+    runs.append(by_offset(offsets, cumulants(model, offsets, patch), model.shape))
+    for tx, ty in offsets[:8]:
+        one = cumulants(model, (int(tx), int(ty)), patch)
+        runs.append({(int(tx) % w, int(ty) % h): (one.k1, one.k2, one.k3)})
+    for run in runs:
+        for t, k in run.items():
+            assert k == table[t], (t, k, table[t])
+
+
+def refuse_threads(*args, **kwargs):
+    raise AssertionError("a thread pool was started")
+
+
+def test_one_chunk_starts_no_thread(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(background, "ThreadPoolExecutor", refuse_threads)
+    model = from_exemplar(np.random.default_rng(18).standard_normal((8, 8)))
+    patch = PatchDomain(side=4)
+    cumulants(model, (3, 2), patch)
+    assert offset_laws(model, patch).kind.shape == (8, 8)  # 33 offsets, one chunk
 
 
 # ----------------------------------------------------------------- fit
@@ -218,8 +298,7 @@ def bad_model(rng, h, w):
     return MicrotextureModel(kernel=np.zeros((h, w)), gamma=g, kind="exemplar")
 
 
-def test_table_raises_the_error_of_the_first_failing_offset(monkeypatch):
-    monkeypatch.setattr(background, "_CHUNK_ENTRIES", 2 * 25)
+def check_first_failing_offset_raises():
     rng = np.random.default_rng(15)
     kinds = set()
     for _ in range(30):
@@ -238,3 +317,23 @@ def test_table_raises_the_error_of_the_first_failing_offset(monkeypatch):
             assert got.startswith("tr C^3")
             assert math.isclose(reported(got), reported(want), rel_tol=1e-9)
     assert kinds == {"delta(t,0)", "tr C^3"}
+
+
+def test_table_raises_the_error_of_the_first_failing_offset(monkeypatch):
+    set_cpus(monkeypatch, 1)
+    monkeypatch.setattr(background, "_CHUNK_ENTRIES", 2 * 25)
+    check_first_failing_offset_raises()
+
+
+def test_table_on_the_pool_raises_the_error_of_the_first_failing_offset(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(background, "_CHUNK_ENTRIES", 2 * 25)
+    pools = []
+
+    def counted(workers):
+        pools.append(workers)
+        return ThreadPoolExecutor(workers)
+
+    monkeypatch.setattr(background, "ThreadPoolExecutor", counted)
+    check_first_failing_offset_raises()
+    assert pools and set(pools) == {2}
