@@ -80,13 +80,6 @@ class MicrotextureModel:
     def degenerate(self) -> bool:
         return self.gamma[0, 0] <= 0.0
 
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dims": [int(self.shape[1]), int(self.shape[0])],
-            "variance": float(self.gamma[0, 0]),
-        }
-
 
 def white_noise(shape: tuple[int, int], std: float = 1.0) -> MicrotextureModel:
     """White-noise model of pixel standard deviation ``std``."""

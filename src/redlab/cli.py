@@ -2,10 +2,22 @@
 
 Subcommands: ``detect`` (offset redundancy maps), ``denoise`` (threshold
 NL-means), ``lattice`` (basis extraction), ``rank`` (periodicity ranking
-of a directory of images) and ``sample`` (background-model draws).  Every
-run writes a ``manifest.json`` capturing the resolved parameters (and the
-seed of the seeded commands); rerunning with the same manifest reproduces
-outputs byte for byte.
+of a directory of images) and ``sample`` (background-model draws).
+
+Output contract, the same for every run.  The library returns arrays and
+dataclasses; this module alone turns them into files:
+
+* ``--out`` is created at the first write, so a run that fails before
+  writing leaves no directory;
+* every run writes a ``manifest.json`` with the resolved parameters (and
+  the seed of the seeded commands) and the files it wrote; rerunning with
+  the same parameters reproduces every output byte for byte;
+* JSON is strict: arrays become lists, an infinity is the string
+  ``"inf"`` (``"-inf"``), and a NaN is a numerical failure.  The one
+  exception is ``ranking.json``, which writes infinite scores as a bare
+  ``Infinity``;
+* float options must be finite, and the counts ``--K``, ``--iters`` and
+  ``--mask`` at least 1; the parser rejects anything else.
 
 Exit codes: 0 success, 2 invalid input or I/O error, 3 numerical failure.
 """
@@ -13,7 +25,9 @@ Exit codes: 0 success, 2 invalid input or I/O error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -23,6 +37,58 @@ from . import __version__, background, denoise, detect, imgio, lattice
 from .grid import PatchDomain, laplacian
 
 __all__ = ["main"]
+
+
+def _strict(obj, name: str):
+    """``obj`` with arrays as lists and infinities as ``"inf"``/``"-inf"``;
+    a NaN raises ``ArithmeticError`` naming the file ``name``."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _strict(value, name) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value, name) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        if math.isnan(obj):
+            raise ArithmeticError(f"NaN in {name}")
+        return "inf" if obj > 0 else "-inf"
+    return obj
+
+
+class _Output:
+    """The files of one run under ``--out``, recorded for the manifest."""
+
+    def __init__(self, outdir: str):
+        self.dir = Path(outdir)
+        self.files: dict[str, str] = {}
+
+    def path(self, name: str, key: str | None = None) -> Path:
+        """Path of the output ``name``, listed in the manifest as ``key``."""
+        self.dir.mkdir(parents=True, exist_ok=True)
+        path = self.dir / name
+        if key is not None:
+            self.files[key] = str(path)
+        return path
+
+    def json(self, name: str, obj, key: str | None = None) -> None:
+        text = json.dumps(_strict(obj, name), indent=2, allow_nan=False)
+        self.path(name, key).write_text(text + "\n")
+
+
+def finite(text: str) -> float:
+    """Parser type of the float options."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def count(text: str) -> int:
+    """Parser type of the count options."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
 
 
 def _parse_patch(text: str) -> tuple[int, int, int]:
@@ -35,63 +101,47 @@ def _parse_patch(text: str) -> tuple[int, int, int]:
     return x, y, p
 
 
-def _read_input(path: str) -> tuple[np.ndarray, int]:
-    if not Path(path).is_file():
-        raise ValueError(f"input file not found: {path}")
-    return imgio.read_pgm(path)
-
-
-def _inf_as_str(x: float):
-    """Strict JSON has no infinity; write it as the string ``"inf"``."""
-    return "inf" if x == float("inf") else x
-
-
-def _write_manifest(outdir: Path, command: str, params: dict, outputs: dict) -> None:
-    manifest = {
-        "schema": 1,
-        "tool": "redlab",
-        "version": __version__,
-        "command": command,
-        "params": params,
-        "outputs": outputs,
-    }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def _cmd_detect(args) -> int:
-    u, _ = _read_input(args.input)
+def _cmd_detect(args, out: _Output) -> dict:
+    u, _ = imgio.read_pgm(args.input)
     x, y, p = _parse_patch(args.patch)
     patch = PatchDomain(anchor=(x, y), side=p)
     if args.model == "exemplar":
         model = background.from_exemplar(u)
     else:
         model = background.white_noise(u.shape, std=float(u.std()))
-    mask = None
-    if args.mask is not None:
-        if args.mask < 1:
-            raise ValueError("--mask stride must be >= 1")
-        mask = detect.stride_mask(u.shape, args.mask)
+    mask = None if args.mask is None else detect.stride_mask(u.shape, args.mask)
     result = detect.autosim_detection(u, patch, model, args.nfa, mask=mask)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    outputs = detect.save_detection(result, outdir)
-    params = {
+    imgio.write_pfm(out.path("P_map.pfm", "p_map"), result.p_map)
+    imgio.write_pgm(out.path("D_map.pgm", "d_map"), result.d_map * 255.0, maxval=255)
+    meta = {
+        "patch": {"anchor": [x, y], "side": p},
+        "nfa_max": args.nfa,
+        "model": {
+            "kind": model.kind,
+            "dims": [u.shape[1], u.shape[0]],
+            "variance": float(model.gamma[0, 0]),
+        },
+        "mask": None if mask is None else {"evaluated_offsets": int(mask.sum())},
+        "fallback_counts": result.fallback_counts,
+        "n_detected": result.n_detected,
+        "warnings": result.warnings,
+    }
+    out.json("detection.json", meta, key="meta")
+    return {
         "input": args.input,
         "patch": [x, y, p],
         "nfa_max": args.nfa,
         "model": args.model,
         "mask_stride": args.mask,
     }
-    _write_manifest(outdir, "detect", params, outputs)
-    return 0
 
 
-def _cmd_denoise(args) -> int:
+def _cmd_denoise(args, out: _Output) -> dict:
     if args.sigma <= 0:
         raise ValueError("--sigma must be positive")
-    u, maxval = _read_input(args.input)
+    u, maxval = imgio.read_pgm(args.input)
     cfg = denoise.DenoiseConfig(
         sigma=args.sigma,
         patch_side=args.p,
@@ -100,25 +150,20 @@ def _cmd_denoise(args) -> int:
         threshold_mode=args.mode,
     )
     report = denoise.nlmeans_threshold(u, cfg)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    out_img = outdir / "denoised.pgm"
-    imgio.write_pgm(out_img, report.denoised, maxval=maxval)
     stats = {
-        "threshold_mean": _inf_as_str(report.threshold_mean),
-        "thresholds": [[_inf_as_str(v) for v in row] for row in report.thresholds.tolist()],
+        "threshold_mean": report.threshold_mean,
+        "thresholds": report.thresholds,
         "selected_min": int(report.selected_counts.min()),
         "selected_max": int(report.selected_counts.max()),
-        "selected_histogram": np.bincount(
-            report.selected_counts.astype(np.int64).ravel()
-        ).tolist(),
+        "selected_histogram": np.bincount(report.selected_counts.astype(np.int64).ravel()),
     }
     if args.clean is not None:
-        clean, _ = _read_input(args.clean)
+        clean, _ = imgio.read_pgm(args.clean)
         stats["psnr_noisy_dB"] = denoise.psnr(clean, u)
         stats["psnr_denoised_dB"] = denoise.psnr(clean, report.denoised)
-    (outdir / "report.json").write_text(json.dumps(stats, indent=2, allow_nan=False) + "\n")
-    params = {
+    imgio.write_pgm(out.path("denoised.pgm", "denoised"), report.denoised, maxval=maxval)
+    out.json("report.json", stats, key="report")
+    return {
         "input": args.input,
         "sigma": args.sigma,
         "nfa_max": args.nfa,
@@ -127,13 +172,6 @@ def _cmd_denoise(args) -> int:
         "mode": args.mode,
         "clean": args.clean,
     }
-    _write_manifest(
-        outdir,
-        "denoise",
-        params,
-        {"denoised": str(out_img), "report": str(outdir / "report.json")},
-    )
-    return 0
 
 
 def _lattice_points_in_bounds(anchor, basis, shape, cap=10000):
@@ -160,17 +198,13 @@ def _lattice_points_in_bounds(anchor, basis, shape, cap=10000):
     return points
 
 
-def _cmd_lattice(args) -> int:
-    u, maxval = _read_input(args.input)
+def _cmd_lattice(args, out: _Output) -> dict:
+    u, maxval = imgio.read_pgm(args.input)
     x, y, p = _parse_patch(args.patch)
     patch = PatchDomain(anchor=(x, y), side=p)
     work = laplacian(u) if args.preprocess == "laplacian" else u
     model = background.from_exemplar(work)
     result = detect.autosim_detection(work, patch, model, args.nfa)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    fit_path = outdir / "fit.json"
-    overlay_path = outdir / "overlay.pgm"
     params = {
         "input": args.input,
         "patch": [x, y, p],
@@ -185,15 +219,9 @@ def _cmd_lattice(args) -> int:
     try:
         graph = lattice.build_graph(result.d_map, result.as_values)
     except lattice.GraphTooSmall as exc:
-        fit_path.write_text(
-            json.dumps(
-                {"status": "insufficient detections", "detail": str(exc)}, indent=2
-            )
-            + "\n"
-        )
-        _write_manifest(outdir, "lattice", params, {"fit": str(fit_path)})
+        out.json("fit.json", {"status": "insufficient detections", "detail": str(exc)}, key="fit")
         print(f"insufficient detections: {exc}", file=sys.stderr)
-        return 0
+        return params
     fit = lattice.alternate_minimization(
         graph.edge_vectors,
         args.dB,
@@ -202,33 +230,26 @@ def _cmd_lattice(args) -> int:
         init=args.init,
         seed=args.seed,
     )
-    score = lattice.c_per(fit, graph.n_components)
     payload = {
         "status": "ok",
         "n_components": graph.n_components,
-        "vertices": graph.vertices.tolist(),
-        "edges": graph.edges.tolist(),
-        "edge_vectors": graph.edge_vectors.tolist(),
-        "c_per": _inf_as_str(score),
-        **fit.to_dict(),
+        "vertices": graph.vertices,
+        "edges": graph.edges,
+        "edge_vectors": graph.edge_vectors,
+        "c_per": lattice.c_per(fit, graph.n_components),
+        **dataclasses.asdict(fit),
     }
-    fit_path.write_text(json.dumps(payload, indent=2) + "\n")
+    out.json("fit.json", payload, key="fit")
     overlay = u.copy()
     if not fit.degenerate:
         for px, py in _lattice_points_in_bounds((x, y), fit.basis, u.shape):
             iy, ix = int(round(py)), int(round(px))
             overlay[max(0, iy - 1) : iy + 2, max(0, ix - 1) : ix + 2] = maxval
-    imgio.write_pgm(overlay_path, overlay, maxval=maxval)
-    _write_manifest(
-        outdir,
-        "lattice",
-        params,
-        {"fit": str(fit_path), "overlay": str(overlay_path)},
-    )
-    return 0
+    imgio.write_pgm(out.path("overlay.pgm", "overlay"), overlay, maxval=maxval)
+    return params
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args, out: _Output) -> dict:
     indir = Path(args.images)
     if not indir.is_dir():
         raise ValueError(f"not a directory: {args.images}")
@@ -249,11 +270,9 @@ def _cmd_rank(args) -> int:
     )
     for rec in records:
         rec.pop("c_per_values", None)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rank_path = outdir / "ranking.json"
-    rank_path.write_text(json.dumps(records, indent=2) + "\n")
-    params = {
+    # Bare ``Infinity`` scores: benchmarks/checks.py compares them as numbers.
+    out.path("ranking.json", "ranking").write_text(json.dumps(records, indent=2) + "\n")
+    return {
         "images": [str(p) for p in paths],
         "K": args.K,
         "patch_side": args.p,
@@ -263,16 +282,14 @@ def _cmd_rank(args) -> int:
         "n_iter": args.iters,
         "seed": args.seed,
     }
-    _write_manifest(outdir, "rank", params, {"ranking": str(rank_path)})
-    return 0
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args, out: _Output) -> dict:
     if (args.model_from is None) == (args.white is None):
         raise ValueError("give exactly one of --model-from or --white WxH")
     offset = 0.0
     if args.model_from is not None:
-        u, maxval = _read_input(args.model_from)
+        u, maxval = imgio.read_pgm(args.model_from)
         model = background.from_exemplar(u)
         offset = float(u.mean())
     else:
@@ -286,18 +303,13 @@ def _cmd_sample(args) -> int:
         offset = 127.5
         maxval = 255
     draw = background.sample(model, args.seed) + offset
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    out_img = outdir / "sample.pgm"
-    imgio.write_pgm(out_img, draw, maxval=maxval)
-    params = {
+    imgio.write_pgm(out.path("sample.pgm", "sample"), draw, maxval=maxval)
+    return {
         "model_from": args.model_from,
         "white": args.white,
         "std": args.std,
         "seed": args.seed,
     }
-    _write_manifest(outdir, "sample", params, {"sample": str(out_img)})
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -316,16 +328,16 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("detect", help="offset redundancy detection maps")
     d.add_argument("input", help="input PGM image")
     d.add_argument("--patch", required=True, help="x,y,p patch anchor and side")
-    d.add_argument("--nfa", type=float, default=1.0, help="NFA budget")
+    d.add_argument("--nfa", type=finite, default=1.0, help="NFA budget")
     d.add_argument("--model", choices=("white", "exemplar"), default="exemplar")
-    d.add_argument("--mask", type=int, default=None, help="offset stride mask")
+    d.add_argument("--mask", type=count, default=None, help="offset stride mask")
     common(d, seed=False)
     d.set_defaults(func=_cmd_detect)
 
     n = sub.add_parser("denoise", help="threshold NL-means denoising")
     n.add_argument("input", help="noisy PGM image")
-    n.add_argument("--sigma", type=float, required=True, help="noise std (gray levels)")
-    n.add_argument("--nfa", type=float, default=4.41, help="rejected-offset budget")
+    n.add_argument("--sigma", type=finite, required=True, help="noise std (gray levels)")
+    n.add_argument("--nfa", type=finite, default=4.41, help="rejected-offset budget")
     n.add_argument("--p", type=int, default=8, help="patch side")
     n.add_argument("--c", type=int, default=10, help="search radius")
     n.add_argument(
@@ -338,30 +350,30 @@ def _build_parser() -> argparse.ArgumentParser:
     la = sub.add_parser("lattice", help="lattice extraction")
     la.add_argument("input", help="input PGM image")
     la.add_argument("--patch", required=True, help="x,y,p patch anchor and side")
-    la.add_argument("--nfa", type=float, default=10.0, help="NFA budget")
+    la.add_argument("--nfa", type=finite, default=10.0, help="NFA budget")
     la.add_argument("--preprocess", choices=("none", "laplacian"), default="none")
-    la.add_argument("--dB", type=float, default=1e-2, help="basis regularizer")
-    la.add_argument("--dM", type=float, default=10.0, help="coefficient regularizer")
-    la.add_argument("--iters", type=int, default=10, help="optimizer iterations")
+    la.add_argument("--dB", type=finite, default=1e-2, help="basis regularizer")
+    la.add_argument("--dM", type=finite, default=10.0, help="coefficient regularizer")
+    la.add_argument("--iters", type=count, default=10, help="optimizer iterations")
     la.add_argument("--init", choices=("median", "random"), default="median")
     common(la)
     la.set_defaults(func=_cmd_lattice)
 
     r = sub.add_parser("rank", help="periodicity ranking of a directory")
     r.add_argument("images", help="directory of PGM images")
-    r.add_argument("--K", type=int, default=150, help="patch anchors per image")
+    r.add_argument("--K", type=count, default=150, help="patch anchors per image")
     r.add_argument("--p", type=int, default=20, help="patch side")
-    r.add_argument("--nfa", type=float, default=1.0)
-    r.add_argument("--dM", type=float, default=10.0)
-    r.add_argument("--dB", type=float, default=1e-2)
-    r.add_argument("--iters", type=int, default=10)
+    r.add_argument("--nfa", type=finite, default=1.0)
+    r.add_argument("--dM", type=finite, default=10.0)
+    r.add_argument("--dB", type=finite, default=1e-2)
+    r.add_argument("--iters", type=count, default=10)
     common(r)
     r.set_defaults(func=_cmd_rank)
 
     s = sub.add_parser("sample", help="draw from a background model")
     s.add_argument("--model-from", default=None, help="exemplar PGM image")
     s.add_argument("--white", default=None, help="white-noise dims WxH")
-    s.add_argument("--std", type=float, default=50.0, help="white-noise std")
+    s.add_argument("--std", type=finite, default=50.0, help="white-noise std")
     common(s)
     s.set_defaults(func=_cmd_sample)
     return parser
@@ -370,8 +382,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    out = _Output(args.out)
     try:
-        return args.func(args)
+        params = args.func(args, out)
+        manifest = {
+            "schema": 1,
+            "tool": "redlab",
+            "version": __version__,
+            "command": args.command,
+            "params": params,
+            "outputs": dict(out.files),
+        }
+        out.json("manifest.json", manifest)
+        return 0
     # LinAlgError subclasses ValueError, so numerical failures go first.
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

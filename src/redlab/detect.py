@@ -15,13 +15,10 @@ fit indexed like an offset map (the law at ``-t`` equals the law at
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from . import imgio
 from .background import MicrotextureModel, cumulants
 from .grid import PatchDomain, as_map
 from .quadform import KIND_GAMMA, KIND_POINT, KIND_WOOD, WoodFParams, cdf, fit, quantile
@@ -31,7 +28,6 @@ __all__ = [
     "OffsetLawTable",
     "autosim_detection",
     "offset_laws",
-    "save_detection",
     "stride_mask",
 ]
 
@@ -141,16 +137,13 @@ def offset_laws(
 
 @dataclass
 class DetectionResult:
-    """Probability map, binary detection map and run metadata."""
+    """Probability map, binary detection map, statistic map, law-branch
+    counts and warnings."""
 
     p_map: np.ndarray
     d_map: np.ndarray
     as_values: np.ndarray
-    nfa_max: float
-    patch: PatchDomain
-    model_descriptor: dict
     fallback_counts: dict
-    mask: np.ndarray | None = None
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -190,34 +183,7 @@ def autosim_detection(
         p_map=p_map,
         d_map=d_map,
         as_values=values,
-        nfa_max=nfa_max,
-        patch=patch,
-        model_descriptor=model.descriptor(),
         fallback_counts=laws.fallback_counts(),
-        mask=laws.mask,
         warnings=warnings,
     )
 
-
-def save_detection(result: DetectionResult, outdir) -> dict:
-    """Write ``P_map`` (PFM), ``D_map`` (PGM) and a JSON sidecar."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    p_path = outdir / "P_map.pfm"
-    d_path = outdir / "D_map.pgm"
-    meta_path = outdir / "detection.json"
-    imgio.write_pfm(p_path, result.p_map)
-    imgio.write_pgm(d_path, result.d_map.astype(np.float64) * 255.0, maxval=255)
-    meta = {
-        "patch": result.patch.descriptor(),
-        "nfa_max": result.nfa_max,
-        "model": result.model_descriptor,
-        "mask": None
-        if result.mask is None
-        else {"evaluated_offsets": int(result.mask.sum())},
-        "fallback_counts": result.fallback_counts,
-        "n_detected": result.n_detected,
-        "warnings": result.warnings,
-    }
-    meta_path.write_text(json.dumps(meta, indent=2) + "\n")
-    return {"p_map": str(p_path), "d_map": str(d_path), "meta": str(meta_path)}

@@ -83,11 +83,6 @@ class PatchDomain:
             return np.stack([xs, ys], axis=1)
         return np.asarray(self.coords_list, dtype=np.int64)
 
-    def descriptor(self) -> dict:
-        if self.side is not None:
-            return {"anchor": list(self.anchor), "side": self.side}
-        return {"coords": [list(c) for c in self.coords_list]}
-
 
 def _as_image(u) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)

@@ -189,30 +189,18 @@ class LatticeFit:
     basis: np.ndarray  # rows b1, b2
     coeffs: np.ndarray  # (m, 2) ints
     sigma2: float
+    # Field order is the key order of fit.json (dataclasses.asdict).
+    det: float = field(init=False)
+    degenerate: bool = field(init=False)
     q_trajectory: list[float]
     log_posterior_trajectory: list[float]
     converged_at: int | None
     n_edges: int
-    det: float = field(init=False)
-    degenerate: bool = field(init=False)
 
     def __post_init__(self):
         b = self.basis
         self.det = float(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
         self.degenerate = abs(self.det) < 1e-9 or self.sigma2 == 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "basis": self.basis.tolist(),
-            "coeffs": self.coeffs.tolist(),
-            "sigma2": self.sigma2,
-            "det": self.det,
-            "degenerate": self.degenerate,
-            "q_trajectory": self.q_trajectory,
-            "log_posterior_trajectory": self.log_posterior_trajectory,
-            "converged_at": self.converged_at,
-            "n_edges": self.n_edges,
-        }
 
 
 def _median_init(edge_vectors: np.ndarray) -> np.ndarray:
@@ -329,6 +317,8 @@ def rank_textures(
     reported unranked and sort last (ties keep input order).
     """
     images = [np.asarray(u, dtype=np.float64) for u in images]
+    if n_anchors < 1:
+        raise ValueError(f"n_anchors = {n_anchors} must be >= 1")
     # Validate every image before the first law table is built.
     for idx, u in enumerate(images):
         h, w = u.shape

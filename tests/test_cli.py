@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from redlab.background import from_exemplar
 from redlab.cli import main
-from redlab.grid import laplacian
+from redlab.detect import autosim_detection
+from redlab.grid import PatchDomain, laplacian
 from redlab.imgio import read_pfm, read_pgm, write_pgm
 
 
@@ -27,6 +29,20 @@ def board_image(path, cell=8, n=48):
     u[3:9, 3:9] = 125.0
     write_pgm(path, u)
     return u
+
+
+def strict_outputs(out) -> dict:
+    """Every JSON file of a run, parsed with bare ``NaN``/``Infinity``
+    rejected; ``ranking.json`` is the one file that may hold them."""
+
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return {
+        path.name: json.loads(path.read_text(), parse_constant=reject)
+        for path in sorted(out.glob("*.json"))
+        if path.name != "ranking.json"
+    }
 
 
 # ------------------------------------------------------------------ detect
@@ -48,6 +64,27 @@ def test_detect_stripes_outputs(tmp_path, stripe_image):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "detect"
     assert manifest["params"]["patch"] == [3, 3, 4]
+
+
+def test_detect_outputs_match_autosim_detection(tmp_path):
+    rng = np.random.default_rng(10)
+    path = tmp_path / "in.pgm"
+    write_pgm(path, rng.uniform(0, 255, (16, 16)))
+    u, _ = read_pgm(path)
+    model = from_exemplar(u)
+    res = autosim_detection(u, PatchDomain(anchor=(2, 1), side=3), model, 5.0)
+    out = tmp_path / "out"
+    assert main(["detect", str(path), "--patch", "2,1,3", "--nfa", "5", "--out", str(out)]) == 0
+    assert np.array_equal(read_pfm(out / "P_map.pfm"), res.p_map.astype(np.float32))
+    d_back, _ = read_pgm(out / "D_map.pgm")
+    assert np.array_equal(d_back > 0, res.d_map)
+    meta = json.loads((out / "detection.json").read_text())
+    assert meta["nfa_max"] == 5.0
+    assert meta["patch"] == {"anchor": [2, 1], "side": 3}
+    assert meta["model"] == {"kind": "exemplar", "dims": [16, 16], "variance": model.gamma[0, 0]}
+    assert meta["mask"] is None
+    assert meta["n_detected"] == res.n_detected
+    assert meta["fallback_counts"] == res.fallback_counts
 
 
 def test_detect_missing_input(tmp_path, capsys):
@@ -155,11 +192,7 @@ def test_denoise_origin_only_window_writes_strict_json(tmp_path, stripe_image, n
     argv = ["denoise", str(path), "--sigma", "5", "--c", "0", "--nfa", nfa, "--p", "4",
             "--out", str(out)]
     assert main(argv) == 0
-
-    def reject(constant):
-        raise ValueError(f"report.json holds {constant}")
-
-    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    report = strict_outputs(out)["report.json"]
     assert report["threshold_mean"] == 0.0
     assert report["thresholds"] == [[0.0]]
 
@@ -171,15 +204,22 @@ def test_denoise_nfa_zero_writes_infinite_thresholds_as_strings(tmp_path, stripe
     argv = ["denoise", str(path), "--sigma", "20", "--p", "4", "--c", "2", "--nfa", "0",
             "--mode", mode, "--out", str(out)]
     assert main(argv) == 0
-
-    def reject(constant):
-        raise ValueError(f"report.json holds {constant}")
-
-    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    report = strict_outputs(out)["report.json"]
     assert report["threshold_mean"] == "inf"
     expected = [["inf"] * 5 for _ in range(5)]
     expected[2][2] = 0.0
     assert report["thresholds"] == expected
+
+
+def test_denoise_clean_equal_to_input_writes_infinite_psnr(tmp_path, stripe_image):
+    path, _ = stripe_image
+    out = tmp_path / "out"
+    argv = ["denoise", str(path), "--sigma", "5", "--p", "4", "--c", "2", "--clean", str(path),
+            "--out", str(out)]
+    assert main(argv) == 0
+    written = strict_outputs(out)
+    assert written["report.json"]["psnr_noisy_dB"] == "inf"
+    assert set(written["manifest.json"]["outputs"]) == {"denoised", "report"}
 
 
 @pytest.mark.parametrize("mode", ["constant-mean", "per-offset"])
@@ -232,6 +272,22 @@ def test_lattice_on_board(tmp_path):
     assert (out / "overlay.pgm").exists()
     overlay, _ = read_pgm(out / "overlay.pgm")
     assert overlay.shape == (48, 48)
+
+
+def test_lattice_infinite_log_posterior_is_written_as_inf(tmp_path):
+    # A perfect fit (q = 0 with dB = dM = 0) has an infinite log posterior.
+    ys, xs = np.mgrid[0:64, 0:64]
+    board = np.where(((xs // 8) + (ys // 8)) % 2 == 0, 220.0, 30.0)
+    board[4:10, 4:10] = 125.0
+    path = tmp_path / "b.pgm"
+    write_pgm(path, board)
+    out = tmp_path / "out"
+    argv = ["lattice", str(path), "--patch", "30,30,8", "--nfa", "10", "--dB", "0", "--dM", "0",
+            "--out", str(out)]
+    assert main(argv) == 0
+    fit = strict_outputs(out)["fit.json"]
+    assert fit["status"] == "ok"
+    assert "inf" in fit["log_posterior_trajectory"]
 
 
 def test_lattice_singular_basis_fit_exits_3(tmp_path, capsys):
@@ -402,6 +458,75 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout.strip() == "False"
+
+
+# --------------------------------------------------------- output contract
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "{image}", "--patch", "2,2,4", "--model", "white"],
+        ["detect", "{image}", "--patch", "2,2,4", "--mask", "2"],
+        ["denoise", "{image}", "--sigma", "10", "--p", "4", "--c", "2", "--clean", "{image}"],
+        ["denoise", "{image}", "--sigma", "10", "--p", "4", "--c", "2", "--nfa", "0"],
+        ["lattice", "{board}", "--patch", "12,12,12", "--nfa", "1"],
+        ["lattice", "{image}", "--patch", "0,0,4", "--nfa", "0.001"],
+        ["rank", "{folder}", "--p", "8", "--K", "3"],
+        ["sample", "--white", "8x8", "--seed", "1"],
+        ["sample", "--model-from", "{image}"],
+    ],
+)
+def test_every_json_output_is_strict_and_in_the_manifest(tmp_path, stripe_image, argv):
+    path, _ = stripe_image
+    board_image(tmp_path / "board.pgm")
+    argv = [a.format(image=path, board=tmp_path / "board.pgm", folder=tmp_path) for a in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = strict_outputs(out)["manifest.json"]
+    assert manifest["command"] == argv[0]
+    listed = {Path(p).name for p in manifest["outputs"].values()}
+    assert listed | {"manifest.json"} == {p.name for p in out.iterdir()}
+
+
+def test_nan_in_a_json_output_exits_3(tmp_path, capsys, monkeypatch, stripe_image):
+    import redlab.denoise
+
+    monkeypatch.setattr(redlab.denoise, "psnr", lambda ref, est: float("nan"))
+    path, _ = stripe_image
+    out = tmp_path / "out"
+    argv = ["denoise", str(path), "--sigma", "5", "--p", "4", "--c", "2", "--clean", str(path),
+            "--out", str(out)]
+    assert main(argv) == 3
+    assert "NaN in report.json" in capsys.readouterr().err
+    assert not (out / "report.json").exists() and not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "{image}", "--patch", "2,2,4", "--nfa", "nan"],
+        ["detect", "{image}", "--patch", "2,2,4", "--nfa", "inf"],
+        ["detect", "{image}", "--patch", "2,2,4", "--mask", "0"],
+        ["denoise", "{image}", "--sigma", "nan"],
+        ["denoise", "{image}", "--sigma", "10", "--nfa=-inf"],
+        ["lattice", "{image}", "--patch", "2,2,4", "--dB", "nan"],
+        ["lattice", "{image}", "--patch", "2,2,4", "--iters", "0"],
+        ["rank", "{folder}", "--dM", "nan"],
+        ["rank", "{folder}", "--K", "-3"],
+        ["rank", "{folder}", "--iters", "0"],
+        ["sample", "--white", "8x8", "--std", "nan"],
+    ],
+)
+def test_non_finite_floats_and_counts_below_one_exit_2(tmp_path, capsys, stripe_image, argv):
+    path, _ = stripe_image
+    argv = [a.format(image=path, folder=tmp_path) for a in argv]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ----------------------------------------------------------- bad inputs

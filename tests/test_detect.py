@@ -1,14 +1,11 @@
-import json
-
 import numpy as np
 import pytest
 from scipy import stats
 
 import redlab.detect as detect
 from redlab.background import cumulants, from_exemplar, sample, white_noise
-from redlab.detect import autosim_detection, offset_laws, save_detection, stride_mask
+from redlab.detect import autosim_detection, offset_laws, stride_mask
 from redlab.grid import PatchDomain, as_map, centered_coords
-from redlab.imgio import read_pfm, read_pgm
 from redlab.quadform import KIND_POINT, KIND_WOOD, cdf, fit, quantile
 
 
@@ -245,23 +242,3 @@ def test_detect_rejects_negative_nfa():
     model = white_noise((8, 8))
     with pytest.raises(ValueError):
         autosim_detection(np.zeros((8, 8)), PatchDomain(side=2), model, -1.0)
-
-
-# ------------------------------------------------------------------ outputs
-
-
-def test_save_detection_roundtrip(tmp_path):
-    rng = np.random.default_rng(10)
-    u = rng.standard_normal((16, 16))
-    model = from_exemplar(u)
-    res = autosim_detection(u, PatchDomain(anchor=(2, 1), side=3), model, 5.0)
-    paths = save_detection(res, tmp_path)
-    p_back = read_pfm(paths["p_map"])
-    assert np.allclose(p_back, res.p_map, atol=1e-6)
-    d_back, _ = read_pgm(paths["d_map"])
-    assert np.array_equal(d_back > 0, res.d_map)
-    meta = json.loads((tmp_path / "detection.json").read_text())
-    assert meta["nfa_max"] == 5.0
-    assert meta["patch"] == {"anchor": [2, 1], "side": 3}
-    assert meta["n_detected"] == res.n_detected
-    assert set(meta["fallback_counts"]) == {"wood_f", "gamma_two_moment", "point_mass"}

@@ -431,6 +431,18 @@ def test_rank_rejects_small_images():
         rank_textures([np.zeros((10, 10))], n_anchors=2, patch_side=20)
 
 
+@pytest.mark.parametrize("n_anchors", [0, -3])
+def test_rank_rejects_anchor_counts_below_one_before_any_law_table(monkeypatch, n_anchors):
+    import redlab.lattice
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("law table built before n_anchors was checked")
+
+    monkeypatch.setattr(redlab.lattice, "offset_laws", no_table)
+    with pytest.raises(ValueError, match="n_anchors"):
+        rank_textures([np.zeros((24, 24))], n_anchors=n_anchors, patch_side=8)
+
+
 @pytest.mark.parametrize("shape, n_anchors", [((48, 48), 17), ((40, 44), 20)])
 def test_rank_records_match_the_per_anchor_loop(shape, n_anchors):
     # 2**14 // (48 * 48) = 7 anchors a stack, 9 at 40 x 44: several stacks
