@@ -16,8 +16,6 @@ from .background import (
     from_exemplar,
     sample,
     white_noise,
-    white_noise_eigenvalue_blocks,
-    white_noise_eigenvalues,
     white_noise_law,
 )
 from .denoise import (
@@ -39,7 +37,6 @@ from .grid import (
     PatchDomain,
     as_map,
     autocorrelation,
-    inertia,
     laplacian,
 )
 from .lattice import (

@@ -13,13 +13,22 @@ The cumulants are traces of powers of ``C_t``, with no eigendecomposition.
 For square patches ``C_t`` is block-Toeplitz with Toeplitz blocks, and
 :func:`cumulants` evaluates the traces from the ``(2p - 1)^2`` values of
 ``delta`` at the patch differences, for a whole chunk of offsets at once
-and without forming ``C_t``.  Explicit coordinate-list patches use the
-dense traces of ``C_t``.
+and without forming ``C_t``.  ``tr C^3`` sums ``delta`` over triples of
+differences that add up to zero, weighted by a pixel-triple count that
+factorizes over the axes; along one axis it is ``max(0, p - max(|a|,
+|b|, |a + b|))``.  That count, and the even ``delta``, make a term
+invariant under the 12 permutations and sign changes of its x-triple,
+so the sum visits one x-triple per orbit, weighted by the orbit size
+(1, 6 or 12).  Each orbit class contracts as ``sum(K_s * m * H_s)``:
+``K_s`` a weighted sum of outer products of ``delta`` rows (one batched
+matrix product), ``m`` the y-triple count and ``H_s`` a Hankel view of
+one row.  Explicit coordinate-list patches use the dense traces of
+``C_t``.
 
 Every law goes through :func:`cumulants`, the plane white-noise law of
 :func:`white_noise_law` included: it is the torus law on a torus too
-large to wrap.  The closed-form white-noise spectrum of square patches
-(:func:`white_noise_eigenvalues`) is the engine's independent oracle.
+large to wrap.  The tests check the engine against the dense traces and
+the closed-form white-noise spectrum of square patches.
 """
 
 from __future__ import annotations
@@ -42,8 +51,6 @@ __all__ = [
     "from_exemplar",
     "sample",
     "white_noise",
-    "white_noise_eigenvalue_blocks",
-    "white_noise_eigenvalues",
     "white_noise_law",
 ]
 
@@ -135,49 +142,73 @@ def _delta_tables(g, tx, ty, d0, dx, dy) -> np.ndarray:
 
 def _axis_triples(p: int) -> np.ndarray:
     """``m[alpha + p - 1, beta + p - 1] = #{k in [0, p) : k + beta and
-    k + alpha + beta in [0, p)}`` for ``alpha, beta`` in ``(-p, p)``."""
-    a = np.arange(1 - p, p)[:, None]
-    b = np.arange(1 - p, p)[None, :]
-    lo = np.maximum(np.maximum(0, -b), -(a + b))
-    hi = np.minimum(np.minimum(p, p - b), p - (a + b))
-    return np.maximum(hi - lo, 0).astype(np.float64)
+    k + alpha + beta in [0, p)}`` for ``alpha, beta`` in ``(-p, p)``.
+
+    The points ``k``, ``k + beta`` and ``k + alpha + beta`` span
+    ``max(|alpha|, |beta|, |alpha + beta|)``, so the count is ``p`` minus
+    that span, or zero: symmetric under every permutation of
+    ``(alpha, beta, -alpha - beta)`` and under a change of sign.
+    """
+    a = np.arange(1 - p, p)
+    span = np.maximum(np.maximum.outer(np.abs(a), np.abs(a)), np.abs(np.add.outer(a, a)))
+    return np.maximum(p - span, 0).astype(np.float64)
 
 
-def _square_traces(d: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _orbits(p: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The ``tr C^3`` schedule of a ``p x p`` patch: for each ``s`` in
+    ``[0, p)``, the rows of ``d`` at ``alpha`` in ``[0, s // 2]`` and at
+    ``beta = s - alpha``, and the weights ``(p - s) * |orbit|``.
+
+    ``(alpha, beta, -s)`` represents the x-triples obtained from it by
+    permutations and a change of sign: 1 at ``s = 0``, 6 when ``alpha = 0``
+    or ``alpha = beta``, and 12 otherwise.  ``p - s`` is their common
+    x-count :func:`_axis_triples`.
+    """
+    schedule = []
+    for s in range(p):
+        alpha = np.arange(s // 2 + 1)
+        size = np.where((alpha == 0) | (2 * alpha == s), 6.0, 12.0) if s else np.ones(1)
+        schedule.append((p - 1 + alpha, p - 1 + s - alpha, (p - s) * size))
+    return schedule
+
+
+def _square_traces(d: np.ndarray, p: int, m: np.ndarray, orbits) -> tuple[np.ndarray, np.ndarray]:
     """``tr C^2`` and ``tr C^3`` for a ``p x p`` patch, one per offset.
 
     ``d[i, ax + p - 1, ay + p - 1]`` is ``delta`` of offset ``i`` at the
-    patch difference ``a``.  ``C`` is block-Toeplitz with Toeplitz blocks,
-    so ``tr C^2`` weighs ``d(a)^2`` by the ``(p - |ax|)(p - |ay|)`` pixel
-    pairs at difference ``a``.  ``tr C^3`` sums ``d(a) d(b) d(-a-b)`` over
-    the pixel triples at differences ``a, b``, whose count factorizes into
-    ``m(ax, bx) m(ay, by)`` (:func:`_axis_triples`).  Grouping by
-    ``s = ax + bx`` gives, with ``G_s[ay, by] = m(ay, by) d(-s, -(ay+by))``,
-    ``tr C^3 = sum_s sum_ax m(ax, s-ax) d[ax, :] G_s d[s-ax, :]^T``.
-    ``Gamma`` is even, hence so is ``d``, and ``m(-a, -b) = m(a, b)``: the
-    terms for ``s`` and ``-s`` are equal, which leaves ``p`` batched matrix
-    products of side at most ``2p - 1``.
+    patch difference ``a``; ``m`` is :func:`_axis_triples` and ``orbits``
+    :func:`_orbits` of ``p``.  ``C`` is block-Toeplitz with Toeplitz
+    blocks, so ``tr C^2`` weighs ``d(a)^2`` by the ``(p - |ax|)(p - |ay|)``
+    pixel pairs at difference ``a``.  ``tr C^3`` sums ``d(a) d(b) d(c)``
+    over the pixel triples at differences ``a + b + c = 0``, whose count
+    factorizes into ``m(ax, bx) m(ay, by)``.  Summed over the y-components
+    first, a term depends on the x-triple ``(ax, bx, cx)`` only up to
+    permutations and a change of sign: ``m`` is symmetric under both, and
+    ``Gamma``, hence ``d``, is even.  So each orbit of x-triples is
+    visited once, at ``(alpha, s - alpha, -s)`` with the weight of
+    :func:`_orbits`, where its term is ``d[alpha, :] G_s d[s-alpha, :]^T``
+    with ``G_s[ay, by] = m(ay, by) d(-s, -(ay + by))``.  Summing the
+    outer products first gives ``K_s = sum_alpha w d[alpha, :]^T
+    d[s-alpha, :]``, one batched matrix product, and ``tr C^3 = sum_s
+    sum(K_s * m * H_s)`` with ``H_s`` the Hankel matrix of row ``-s``, a
+    strided view that is never multiplied out.
     """
     side = 2 * p - 1
     pairs = p - np.abs(np.arange(1 - p, p))
     tr2 = np.einsum("mij,mij,i,j->m", d, d, pairs, pairs)
-    m = _axis_triples(p)
-    rev = d[:, ::-1]
-    # pad[:, p - 1 + k] holds the reversed row d[-s, side - 1 - k], so the
-    # windows of pad form the Hankel matrix d[-s, -(ay + by)]; the zero
-    # padding lies where m vanishes.
-    pad = np.zeros((len(d), side + 2 * (p - 1)))
+    # pad[:, s, p - 1 + k] holds the reversed row d[-s, side - 1 - k], so
+    # the windows of pad[:, s] form H_s[ay, by] = d[-s, -(ay + by)]; the
+    # zero padding lies where m vanishes.
+    pad = np.zeros((len(d), p, side + 2 * (p - 1)))
+    pad[:, :, p - 1 : p - 1 + side] = d[:, p - 1 :: -1, ::-1]
+    hankel = sliding_window_view(pad, side, axis=2)
     tr3 = np.zeros(len(d))
-    for s in range(p):
-        pad[:, p - 1 : p - 1 + side] = d[:, p - 1 - s, ::-1]
-        g = sliding_window_view(pad, side, axis=1) * m
-        x = np.matmul(d[:, s:], g)  # rows ax >= s - p + 1, so |s - ax| < p
-        rows = np.arange(s, side)
-        pair = np.einsum("mij,mij->mi", x, rev[:, : side - s])
-        # einsum, not a BLAS product: BLAS sums in an order that depends on
-        # the number of rows, which would tie an offset's bits to its chunk.
-        term = np.einsum("mi,i->m", pair, m[rows, side - 1 + s - rows])
-        tr3 += term if s == 0 else 2.0 * term
+    for s, (alpha, beta, weight) in enumerate(orbits):
+        k = np.matmul((d[:, alpha] * weight[:, None]).transpose(0, 2, 1), d[:, beta])
+        # einsum, not a BLAS product over the offsets: BLAS sums in an order
+        # that depends on the number of rows, which would tie an offset's
+        # bits to its chunk.
+        tr3 += np.einsum("mij,ij,mij->m", k, m, hankel[:, s])
     return tr2, tr3
 
 
@@ -219,7 +250,7 @@ def cumulants(model: MicrotextureModel, t, patch: PatchDomain) -> QuadFormLaw:
         dx = np.arange(1 - p, p)[:, None]
         dy = np.arange(1 - p, p)[None, :]
         entries = (2 * p - 1) ** 2
-        traces = partial(_square_traces, p=p)
+        traces = partial(_square_traces, p=p, m=_axis_triples(p), orbits=_orbits(p))
     else:
         if n > COV_SIDE_CAP:
             raise ValueError(f"patch size {n} exceeds covariance cap {COV_SIDE_CAP}")
@@ -262,60 +293,6 @@ def cumulants(model: MicrotextureModel, t, patch: PatchDomain) -> QuadFormLaw:
     if single:
         return QuadFormLaw(k1=float(k1[0]), k2=float(k2[0]), k3=float(k3[0]))
     return QuadFormLaw(k1=k1, k2=k2, k3=k3)
-
-
-def white_noise_eigenvalue_blocks(p: int, t) -> list[tuple[int, int, float, int]]:
-    """Closed-form spectrum of the white-noise increment covariance, as
-    ``(m, k, eigenvalue, multiplicity)`` blocks.
-
-    Valid for a square ``p x p`` patch and an overlapping offset with both
-    components nonzero.  Eigenvalues are ``4 sin^2(k pi / (2m))`` for
-    ``m`` in ``[2, q+1]``, ``k`` in ``[1, m-1]``, with
-    ``q = ceil(p / max(|tx|, |ty|))``; the multiplicity is independent of
-    ``k``, equals ``2 |tx| |ty|`` for ``m < q``, a product of edge
-    remainders at ``m = q+1``, and at ``m = q`` whatever brings the total
-    to ``p^2``.
-    """
-    tx, ty = abs(int(t[0])), abs(int(t[1]))
-    if tx == 0 or ty == 0 or max(tx, ty) >= p:
-        raise ValueError(
-            "closed form needs overlap and both offset components nonzero"
-        )
-    q = math.ceil(p / max(tx, ty))
-
-    def edge_remainder(tc: int) -> int:
-        ceil_c = math.ceil(p / tc)
-        p_c = tc * ceil_c - p
-        return (ceil_c - q) * tc + tc - p_c
-
-    r_edge = edge_remainder(tx) * edge_remainder(ty)
-    r_mid = 2 * tx * ty
-    inner = (q - 2) * (q - 1) // 2  # sum of (m-1) for m in [2, q-1]
-    r_q_total = p * p - q * r_edge - r_mid * inner
-    if r_q_total % (q - 1) != 0 or r_q_total < 0:
-        raise ArithmeticError(f"inconsistent multiplicities for p={p}, t={t}")
-    r_q = r_q_total // (q - 1)
-
-    out: list[tuple[int, int, float, int]] = []
-    for m in range(2, q + 2):
-        r = r_mid if m < q else (r_q if m == q else r_edge)
-        for k in range(1, m):
-            out.append((m, k, 4.0 * math.sin(k * math.pi / (2.0 * m)) ** 2, r))
-    return out
-
-
-def white_noise_eigenvalues(p: int, t) -> list[tuple[float, int]]:
-    """Flat ``(eigenvalue, multiplicity)`` form of the closed-form
-    white-noise spectrum; offsets with no patch overlap give the single
-    eigenvalue 2 with multiplicity ``p^2``."""
-    tx, ty = abs(int(t[0])), abs(int(t[1]))
-    if max(tx, ty) >= p:
-        return [(2.0, p * p)]
-    return [
-        (lam, r)
-        for _, _, lam, r in white_noise_eigenvalue_blocks(p, t)
-        if r > 0
-    ]
 
 
 def white_noise_law(p: int, t) -> QuadFormLaw:

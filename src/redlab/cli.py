@@ -19,7 +19,8 @@ dataclasses; this module alone turns them into files:
 * float options must be finite, and the counts ``--K``, ``--iters`` and
   ``--mask`` at least 1; the parser rejects anything else.
 
-Exit codes: 0 success, 2 invalid input or I/O error, 3 numerical failure.
+Exit codes: 0 success, 2 invalid input, I/O error or an input too large
+for memory, 3 numerical failure (a non-finite result included).
 """
 
 from __future__ import annotations
@@ -302,7 +303,10 @@ def _cmd_sample(args, out: _Output) -> dict:
         model = background.white_noise((h, w), std=args.std)
         offset = 127.5
         maxval = 255
-    draw = background.sample(model, args.seed) + offset
+    with np.errstate(over="ignore", invalid="ignore"):
+        draw = background.sample(model, args.seed) + offset
+    if not np.isfinite(draw).all():
+        raise ArithmeticError(f"the draw overflows (--std {args.std})")
     imgio.write_pgm(out.path("sample.pgm", "sample"), draw, maxval=maxval)
     return {
         "model_from": args.model_from,
@@ -310,6 +314,15 @@ def _cmd_sample(args, out: _Output) -> dict:
         "std": args.std,
         "seed": args.seed,
     }
+
+
+def _input_of(args) -> str:
+    """The input of a command, as its command line names it."""
+    if args.command == "rank":
+        return args.images
+    if args.command == "sample":
+        return args.model_from if args.white is None else f"--white {args.white}"
+    return args.input
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -401,6 +414,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: not enough memory for {_input_of(args)}", file=sys.stderr)
         return 2
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "as_map",
     "autocorrelation",
     "centered_coords",
-    "inertia",
     "laplacian",
 ]
 
@@ -139,32 +138,6 @@ def autocorrelation(f) -> np.ndarray:
     f = _as_image(f)
     spec = np.fft.rfft2(f)
     return np.fft.irfft2(spec * np.conj(spec), s=f.shape)
-
-
-def inertia(u, t: tuple[int, int], patch: PatchDomain, n_gray: int | None = None) -> float:
-    """Co-occurrence inertia of a quantized image restricted to a patch.
-
-    ``u`` must take integer values in ``[0, n_gray]``.  Computed from the
-    actual co-occurrence histogram; equals the auto-similarity exactly.
-    """
-    u = np.asarray(u)
-    ui = np.asarray(np.rint(u), dtype=np.int64)
-    if not np.all(u == ui) or ui.min() < 0:
-        raise ValueError("inertia needs integer pixel values in [0, n_gray]")
-    if n_gray is None:
-        n_gray = int(ui.max())
-    if ui.max() > n_gray:
-        raise ValueError("pixel values exceed n_gray")
-    h, w = ui.shape
-    c = patch.coords()
-    levels = n_gray + 1
-    cooc = np.zeros((levels, levels), dtype=np.int64)
-    i = ui[c[:, 1] % h, c[:, 0] % w]
-    j = ui[(c[:, 1] + t[1]) % h, (c[:, 0] + t[0]) % w]
-    np.add.at(cooc, (i, j), 1)
-    grid = np.arange(levels)
-    weights = (grid[:, None] - grid[None, :]) ** 2
-    return float(np.sum(weights * cooc))
 
 
 def laplacian(u) -> np.ndarray:

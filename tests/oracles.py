@@ -2,7 +2,9 @@
 
 These are the straightforward forms that the library's fast paths
 replace: the dense trace cumulants of the increment covariance ``C_t``
-(one ``n x n`` matrix and one ``n^3`` product per offset), the scalar
+(one ``n x n`` matrix and one ``n^3`` product per offset), the square-patch
+traces that sum ``tr C^3`` over every x-pair instead of one x-triple per
+symmetry orbit, with the triple counts counted pixel by pixel, the scalar
 three-branch law fit, the per-offset loop that fills a law table, the
 scalar law CDF and quantile with the vectorised table copies they once
 had, the NL-means thresholds from one law per class of equal offsets,
@@ -10,16 +12,20 @@ the direct auto-similarity of one offset and the loop map built from
 it, and the NL-means loop that computes every offset's patch distances
 on its own, through freshly padded integral images.
 Independent references live here too: the law of an explicit spectrum,
-the offset correlation and
-increment covariance matrix, the dense white-noise increment covariance
-on the plane, and a seeded Monte-Carlo CDF.  They depend only on numpy,
-scipy's special functions, the model's autocorrelation and the patch
-coordinates, never on the code under test.
+the closed-form white-noise spectrum of square patches, the offset
+correlation and increment covariance matrix, the dense white-noise
+increment covariance on the plane, a seeded Monte-Carlo CDF, and the
+co-occurrence inertia, a second formula for the auto-similarity.  They
+depend only on numpy, scipy's special functions, the model's
+autocorrelation and the patch coordinates, never on the code under test.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from redlab.background import COV_SIDE_CAP, from_exemplar, white_noise_law
@@ -611,3 +617,116 @@ def loop_nlmeans_classic(u, p: int, c: int, h_bandwidth: float):
         total += w_t
     extra = {"h": h_bandwidth, "weight_sum_max_err": float(np.abs(total - 1.0).max())}
     return _aggregate(u, p, normalized), sel, extra
+
+
+def axis_triple_counts(p: int) -> np.ndarray:
+    """``#{k in [0, p) : k + beta and k + alpha + beta in [0, p)}`` for
+    ``alpha, beta`` in ``(-p, p)``, counted over every ``k``."""
+    a = np.arange(1 - p, p)[:, None, None]
+    b = np.arange(1 - p, p)[None, :, None]
+    k = np.arange(p)[None, None, :]
+    inside = (0 <= k + b) & (k + b < p) & (0 <= k + a + b) & (k + a + b < p)
+    return inside.sum(axis=2).astype(np.float64)
+
+
+def pair_square_traces(d: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``tr C^2`` and ``tr C^3`` of a ``p x p`` patch from the table ``d`` of
+    ``delta`` at the patch differences, summing ``tr C^3`` over every
+    x-pair ``(ax, s - ax)`` with ``s`` in ``[0, p)`` and doubling ``s > 0``
+    for ``-s``, through ``G_s = m * Hankel(d[-s])`` built in full."""
+    side = 2 * p - 1
+    pairs = p - np.abs(np.arange(1 - p, p))
+    tr2 = np.einsum("mij,mij,i,j->m", d, d, pairs, pairs)
+    m = axis_triple_counts(p)
+    rev = d[:, ::-1]
+    pad = np.zeros((len(d), side + 2 * (p - 1)))
+    tr3 = np.zeros(len(d))
+    for s in range(p):
+        pad[:, p - 1 : p - 1 + side] = d[:, p - 1 - s, ::-1]
+        g = sliding_window_view(pad, side, axis=1) * m
+        x = np.matmul(d[:, s:], g)
+        rows = np.arange(s, side)
+        pair = np.einsum("mij,mij->mi", x, rev[:, : side - s])
+        term = np.einsum("mi,i->m", pair, m[rows, side - 1 + s - rows])
+        tr3 += term if s == 0 else 2.0 * term
+    return tr2, tr3
+
+
+def white_noise_eigenvalue_blocks(p: int, t) -> list[tuple[int, int, float, int]]:
+    """Closed-form spectrum of the white-noise increment covariance, as
+    ``(m, k, eigenvalue, multiplicity)`` blocks.
+
+    Valid for a square ``p x p`` patch and an overlapping offset with both
+    components nonzero.  Eigenvalues are ``4 sin^2(k pi / (2m))`` for
+    ``m`` in ``[2, q+1]``, ``k`` in ``[1, m-1]``, with
+    ``q = ceil(p / max(|tx|, |ty|))``; the multiplicity is independent of
+    ``k``, equals ``2 |tx| |ty|`` for ``m < q``, a product of edge
+    remainders at ``m = q+1``, and at ``m = q`` whatever brings the total
+    to ``p^2``.
+    """
+    tx, ty = abs(int(t[0])), abs(int(t[1]))
+    if tx == 0 or ty == 0 or max(tx, ty) >= p:
+        raise ValueError(
+            "closed form needs overlap and both offset components nonzero"
+        )
+    q = math.ceil(p / max(tx, ty))
+
+    def edge_remainder(tc: int) -> int:
+        ceil_c = math.ceil(p / tc)
+        p_c = tc * ceil_c - p
+        return (ceil_c - q) * tc + tc - p_c
+
+    r_edge = edge_remainder(tx) * edge_remainder(ty)
+    r_mid = 2 * tx * ty
+    inner = (q - 2) * (q - 1) // 2  # sum of (m-1) for m in [2, q-1]
+    r_q_total = p * p - q * r_edge - r_mid * inner
+    if r_q_total % (q - 1) != 0 or r_q_total < 0:
+        raise ArithmeticError(f"inconsistent multiplicities for p={p}, t={t}")
+    r_q = r_q_total // (q - 1)
+
+    out: list[tuple[int, int, float, int]] = []
+    for m in range(2, q + 2):
+        r = r_mid if m < q else (r_q if m == q else r_edge)
+        for k in range(1, m):
+            out.append((m, k, 4.0 * math.sin(k * math.pi / (2.0 * m)) ** 2, r))
+    return out
+
+
+def white_noise_eigenvalues(p: int, t) -> list[tuple[float, int]]:
+    """Flat ``(eigenvalue, multiplicity)`` form of the closed-form
+    white-noise spectrum; offsets with no patch overlap give the single
+    eigenvalue 2 with multiplicity ``p^2``."""
+    tx, ty = abs(int(t[0])), abs(int(t[1]))
+    if max(tx, ty) >= p:
+        return [(2.0, p * p)]
+    return [
+        (lam, r)
+        for _, _, lam, r in white_noise_eigenvalue_blocks(p, t)
+        if r > 0
+    ]
+
+
+def inertia(u, t: tuple[int, int], patch: PatchDomain, n_gray: int | None = None) -> float:
+    """Co-occurrence inertia of a quantized image restricted to a patch.
+
+    ``u`` must take integer values in ``[0, n_gray]``.  Computed from the
+    actual co-occurrence histogram; equals the auto-similarity exactly.
+    """
+    u = np.asarray(u)
+    ui = np.asarray(np.rint(u), dtype=np.int64)
+    if not np.all(u == ui) or ui.min() < 0:
+        raise ValueError("inertia needs integer pixel values in [0, n_gray]")
+    if n_gray is None:
+        n_gray = int(ui.max())
+    if ui.max() > n_gray:
+        raise ValueError("pixel values exceed n_gray")
+    h, w = ui.shape
+    c = patch.coords()
+    levels = n_gray + 1
+    cooc = np.zeros((levels, levels), dtype=np.int64)
+    i = ui[c[:, 1] % h, c[:, 0] % w]
+    j = ui[(c[:, 1] + t[1]) % h, (c[:, 0] + t[0]) % w]
+    np.add.at(cooc, (i, j), 1)
+    grid = np.arange(levels)
+    weights = (grid[:, None] - grid[None, :]) ** 2
+    return float(np.sum(weights * cooc))

@@ -14,17 +14,14 @@ import numpy as np
 from oracles import (
     auto_similarity,
     covariance_matrix,
+    inertia,
     law_from_eigenvalues,
     mc_cdf,
     white_noise_covariance,
-)
-
-from redlab.background import (
-    cumulants,
-    from_exemplar,
-    sample,
     white_noise_eigenvalue_blocks,
 )
+
+from redlab.background import cumulants, from_exemplar, sample
 from redlab.denoise import (
     DenoiseConfig,
     nlmeans_a_priori_threshold,
@@ -33,7 +30,7 @@ from redlab.denoise import (
     psnr,
 )
 from redlab.detect import offset_laws
-from redlab.grid import PatchDomain, as_map, inertia
+from redlab.grid import PatchDomain, as_map
 from redlab.lattice import (
     alternate_minimization,
     nearest_neighbor_edges,

@@ -2,14 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import covariance_matrix, delta_map, law_from_eigenvalues, white_noise_covariance
+from oracles import (
+    covariance_matrix,
+    delta_map,
+    law_from_eigenvalues,
+    white_noise_covariance,
+    white_noise_eigenvalues,
+)
 
 from redlab.background import (
     cumulants,
     from_exemplar,
     sample,
     white_noise,
-    white_noise_eigenvalues,
     white_noise_law,
 )
 from redlab.grid import PatchDomain

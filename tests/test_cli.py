@@ -402,6 +402,41 @@ def test_sample_validation(tmp_path, stripe_image):
     )
 
 
+def test_sample_overflowing_draw_exits_3_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sample", "--white", "4x4", "--std", "1e308", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, module, stage, named",
+    [
+        (["sample", "--white", "4x4"], "background", "sample", "--white 4x4"),
+        (["sample", "--model-from", "{image}"], "background", "sample", "{image}"),
+        (["detect", "{image}", "--patch", "2,2,4"], "detect", "autosim_detection", "{image}"),
+        (["rank", "{dir}", "--K", "2", "--p", "4"], "lattice", "rank_textures", "{dir}"),
+    ],
+)
+def test_memory_error_exits_2_naming_the_input(
+    tmp_path, capsys, monkeypatch, stripe_image, argv, module, stage, named
+):
+    import importlib
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(importlib.import_module(f"redlab.{module}"), stage, out_of_memory)
+    path, _ = stripe_image
+    names = {"{image}": str(path), "{dir}": str(path.parent)}
+    out = tmp_path / "out"
+    assert main([names.get(a, a) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: not enough memory for {names.get(named, named)}\n"
+    assert not out.exists()
+
+
 def test_threads_flag_is_rejected(tmp_path, stripe_image):
     path, _ = stripe_image
     out = tmp_path / "out"

@@ -2,7 +2,10 @@
 oracles of ``tests/oracles.py``.
 
 Agreement contract: ``k1`` is identical, ``k2`` and ``k3`` agree to 1e-12
-relative, and every law takes the same fit branch.  Fit parameters agree
+relative, and every law takes the same fit branch.  Against the
+square-patch traces it replaced, which sum ``tr C^3`` over every x-pair
+rather than one x-triple per symmetry orbit, ``k1`` and ``k2`` are
+identical and ``k3`` agrees to 1e-13 relative.  Fit parameters agree
 to 1e-10 relative: the three-moment fit amplifies last-ulp differences in
 its inputs (numpy's ``x**3`` and Python's differ in the last ulp for a few
 percent of inputs) by up to about a thousand.
@@ -14,7 +17,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from oracles import dense_cumulants, loop_offset_laws, scalar_fit
+from oracles import (
+    axis_triple_counts,
+    dense_cumulants,
+    loop_offset_laws,
+    pair_square_traces,
+    scalar_fit,
+)
 
 import redlab.background as background
 import redlab.detect as detect
@@ -24,6 +33,7 @@ from redlab.grid import PatchDomain, centered_coords
 from redlab.quadform import KIND_POINT, QuadFormLaw, fit
 
 K_RTOL = 1e-12
+K3_ORBIT_RTOL = 1e-13
 PARAM_RTOL = 1e-10
 
 
@@ -204,6 +214,47 @@ def test_one_chunk_starts_no_thread(monkeypatch):
     patch = PatchDomain(side=4)
     cumulants(model, (3, 2), patch)
     assert offset_laws(model, patch).kind.shape == (8, 8)  # 33 offsets, one chunk
+
+
+@pytest.mark.parametrize("p", range(1, 31))
+def test_axis_triples_is_the_pixel_triple_count(p):
+    assert np.array_equal(background._axis_triples(p), axis_triple_counts(p))
+
+
+def orbit_cases(seed):
+    """Random models on tori from 3 to 23 pixels a side (smaller than
+    ``2p - 1`` too), ``p`` up to 24, wrapped anchors, offsets and masks;
+    then a tiled model with exact periods, which give point masses."""
+    rng = np.random.default_rng(3000 + seed)
+    for _ in range(3):
+        h, w = (int(v) for v in rng.integers(3, 24, 2))
+        p = int(rng.integers(1, 25))
+        anchor = (int(rng.integers(-40, 40)), int(rng.integers(-40, 40)))
+        model, offsets = random_model(rng, h, w), random_offsets(rng, h, w, 20)
+        yield model, PatchDomain(anchor=anchor, side=p), offsets, rng.random((h, w)) < 0.3
+    tile = rng.standard_normal((4, 5))
+    offsets = np.array([[0, 0], [5, 0], [0, 4], [-5, 8], [1, 0], [2, 3]])
+    yield from_exemplar(np.tile(tile, (3, 2))), PatchDomain(anchor=(2, 1), side=6), offsets, None
+
+
+def engine_laws(monkeypatch, model, patch, offsets, mask):
+    """The cumulants of ``offsets`` and those the masked law table asks for."""
+    calls = engine_calls(monkeypatch)
+    offset_laws(model, patch, mask=mask)
+    return [cumulants(model, offsets, patch)] + [law for _, law in calls]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_orbit_traces_match_the_pair_traces(seed, monkeypatch):
+    for model, patch, offsets, mask in orbit_cases(seed):
+        laws = engine_laws(monkeypatch, model, patch, offsets, mask)
+        with monkeypatch.context() as mp:
+            mp.setattr(background, "_square_traces", lambda d, p, **_: pair_square_traces(d, p))
+            want = engine_laws(mp, model, patch, offsets, mask)
+        assert len(laws) == len(want)
+        for got, ref in zip(laws, want):
+            assert np.array_equal(got.k1, ref.k1) and np.array_equal(got.k2, ref.k2)
+            np.testing.assert_allclose(got.k3, ref.k3, rtol=K3_ORBIT_RTOL, atol=0.0)
 
 
 # ----------------------------------------------------------------- fit

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import as_map_naive, auto_similarity
+from oracles import as_map_naive, auto_similarity, inertia
 
 from redlab.grid import (
     PatchDomain,
     as_map,
     autocorrelation,
     centered_coords,
-    inertia,
     laplacian,
 )
 

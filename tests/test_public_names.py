@@ -46,3 +46,16 @@ def test_law_table_exposes_its_map_methods_and_fields():
     for method in ("cdf_map", "quantile_map", "fallback_counts", "live_mask"):
         assert callable(OffsetLawTable.__dict__[method])
     assert {"kind", "mask"} <= {f.name for f in dataclasses.fields(OffsetLawTable)}
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("background", "white_noise_eigenvalue_blocks"),
+        ("background", "white_noise_eigenvalues"),
+        ("grid", "inertia"),
+    ],
+)
+def test_test_only_oracles_live_under_tests(module, name):
+    assert not hasattr(importlib.import_module(f"redlab.{module}"), name)
+    assert not hasattr(redlab, name)
