@@ -25,7 +25,6 @@ from .denoise import (
     nlmeans_classic,
     nlmeans_threshold,
     psnr,
-    reconstruction_bound,
 )
 from .detect import (
     DetectionResult,

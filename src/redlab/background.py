@@ -10,7 +10,7 @@ from an exemplar image or as white noise, evaluates the exact cumulants
 of the quadratic form, and samples from a model by spectral convolution.
 
 The cumulants are traces of powers of ``C_t``, with no eigendecomposition.
-For square patches ``C_t`` is block-Toeplitz with Toeplitz blocks, and
+For a ``p x p`` patch ``C_t`` is block-Toeplitz with Toeplitz blocks, and
 :func:`cumulants` evaluates the traces from the ``(2p - 1)^2`` values of
 ``delta`` at the patch differences, for a whole chunk of offsets at once
 and without forming ``C_t``.  ``tr C^3`` sums ``delta`` over triples of
@@ -22,13 +22,12 @@ so the sum visits one x-triple per orbit, weighted by the orbit size
 (1, 6 or 12).  Each orbit class contracts as ``sum(K_s * m * H_s)``:
 ``K_s`` a weighted sum of outer products of ``delta`` rows (one batched
 matrix product), ``m`` the y-triple count and ``H_s`` a Hankel view of
-one row.  Explicit coordinate-list patches use the dense traces of
-``C_t``.
+one row.
 
 Every law goes through :func:`cumulants`, the plane white-noise law of
 :func:`white_noise_law` included: it is the torus law on a torus too
-large to wrap.  The tests check the engine against the dense traces and
-the closed-form white-noise spectrum of square patches.
+large to wrap.  The tests check the engine against the dense traces of
+``C_t`` and the closed-form white-noise spectrum.
 """
 
 from __future__ import annotations
@@ -53,11 +52,6 @@ __all__ = [
     "white_noise",
     "white_noise_law",
 ]
-
-# Side cap (entries per side) for the dense covariance matrices that
-# cumulants forms for coordinate-list patches.  The structured traces of
-# square patches never form the matrix.
-COV_SIDE_CAP = 4096
 
 # Entries per stacked array in the cumulant engine (512 KiB of float64): a
 # chunk holds max(1, _CHUNK_ENTRIES // (2p - 1)^2) offsets of a p x p
@@ -115,12 +109,6 @@ def from_exemplar(u) -> MicrotextureModel:
     kernel = (u - u.mean()) / math.sqrt(u.size)
     gamma = _symmetrized(autocorrelation(kernel))
     return MicrotextureModel(kernel=kernel, gamma=gamma, kind="exemplar")
-
-
-def _coordinate_differences(patch: PatchDomain) -> tuple[np.ndarray, np.ndarray]:
-    """``x_i - x_j`` and ``y_i - y_j`` over pairs of patch pixels."""
-    c = patch.coords()
-    return c[:, 0][:, None] - c[:, 0][None, :], c[:, 1][:, None] - c[:, 1][None, :]
 
 
 def _delta_tables(g, tx, ty, d0, dx, dy) -> np.ndarray:
@@ -212,11 +200,6 @@ def _square_traces(d: np.ndarray, p: int, m: np.ndarray, orbits) -> tuple[np.nda
     return tr2, tr3
 
 
-def _dense_traces(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``tr C^2`` and ``tr C^3`` of a stack of dense covariance matrices."""
-    return np.einsum("mij,mij->m", c, c), np.einsum("mij,mij->m", c, c @ c)
-
-
 def cumulants(model: MicrotextureModel, t, patch: PatchDomain) -> QuadFormLaw:
     """First three cumulants of the auto-similarity law at offset ``t``.
 
@@ -225,15 +208,12 @@ def cumulants(model: MicrotextureModel, t, patch: PatchDomain) -> QuadFormLaw:
     evaluated in chunks of bounded memory.
 
     ``k1 = tr C = n delta(t, 0)``, ``k2 = 2 tr C^2`` and ``k3 = 8 tr C^3``,
-    with no eigendecomposition and, for square patches, without forming
-    ``C``: the traces come from the ``(2p - 1)^2`` values of ``delta`` at
-    the patch differences (see :func:`_square_traces`), in ``O(p^4)``
-    operations per offset.  Explicit coordinate-list patches, whose triple
-    counts do not factorize, use the dense traces of ``C`` (``O(n^3)``,
-    capped at ``COV_SIDE_CAP`` pixels).  Offsets whose increment variance
-    is round-off relative to ``Gamma(0)`` give the degenerate law.  With
-    several offsets, the error raised is the one the first failing offset
-    raises alone.
+    with no eigendecomposition and without forming ``C``: the traces come
+    from the ``(2p - 1)^2`` values of ``delta`` at the patch differences
+    (see :func:`_square_traces`), in ``O(p^4)`` operations per offset.
+    Offsets whose increment variance is round-off relative to ``Gamma(0)``
+    give the degenerate law.  With several offsets, the error raised is
+    the one the first failing offset raises alone.
 
     Chunks run on ``min(2, os.cpu_count(), chunks)`` threads, with no pool
     for one.  An offset's cumulants are bitwise the same whatever its chunk,
@@ -245,18 +225,10 @@ def cumulants(model: MicrotextureModel, t, patch: PatchDomain) -> QuadFormLaw:
     single = offsets.ndim == 1
     offsets = offsets.reshape(-1, 2)
     n = patch.size()
-    if patch.is_square:
-        p = patch.side
-        dx = np.arange(1 - p, p)[:, None]
-        dy = np.arange(1 - p, p)[None, :]
-        entries = (2 * p - 1) ** 2
-        traces = partial(_square_traces, p=p, m=_axis_triples(p), orbits=_orbits(p))
-    else:
-        if n > COV_SIDE_CAP:
-            raise ValueError(f"patch size {n} exceeds covariance cap {COV_SIDE_CAP}")
-        dx, dy = _coordinate_differences(patch)
-        entries = n * n
-        traces = _dense_traces
+    p = patch.side
+    dx = np.arange(1 - p, p)[:, None]
+    dy = np.arange(1 - p, p)[None, :]
+    traces = partial(_square_traces, p=p, m=_axis_triples(p), orbits=_orbits(p))
     g = model.gamma
     h, w = g.shape
     tx, ty = offsets[:, 0] % w, offsets[:, 1] % h
@@ -269,7 +241,7 @@ def cumulants(model: MicrotextureModel, t, patch: PatchDomain) -> QuadFormLaw:
     live = np.flatnonzero(d0_clamped[:stop] > 2.0 * _DEGENERATE_REL * g[0, 0])
     k1, k2, k3 = (np.zeros(len(d0)) for _ in range(3))
     k1[live] = n * d0_clamped[live]
-    step = max(1, _CHUNK_ENTRIES // entries)
+    step = max(1, _CHUNK_ENTRIES // (2 * p - 1) ** 2)
     chunks = [live[start : start + step] for start in range(0, live.size, step)]
 
     def chunk_traces(sel):

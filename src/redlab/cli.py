@@ -102,6 +102,14 @@ def _parse_patch(text: str) -> tuple[int, int, int]:
     return x, y, p
 
 
+def _check_fits(path, u, p: int) -> None:
+    """Raise unless the unwrapped ``--p`` windows fit in the image ``u``
+    read from ``path``."""
+    h, w = u.shape
+    if min(h, w) < p:
+        raise ValueError(f"{path}: {w}x{h} image smaller than the patch (--p {p})")
+
+
 def _cmd_detect(args, out: _Output) -> dict:
     u, _ = imgio.read_pgm(args.input)
     x, y, p = _parse_patch(args.patch)
@@ -141,8 +149,14 @@ def _cmd_detect(args, out: _Output) -> dict:
 
 def _cmd_denoise(args, out: _Output) -> dict:
     if args.sigma <= 0:
-        raise ValueError("--sigma must be positive")
+        raise ValueError(f"{args.input}: --sigma must be positive")
     u, maxval = imgio.read_pgm(args.input)
+    _check_fits(args.input, u, args.p)
+    window = (2 * args.c + 1) ** 2
+    if not 0 <= args.nfa <= window:
+        raise ValueError(f"{args.input}: --nfa {args.nfa} outside [0, {window}] (--c {args.c})")
+    if math.isinf(args.sigma * args.sigma):
+        raise ArithmeticError(f"{args.input}: --sigma {args.sigma} squared overflows")
     cfg = denoise.DenoiseConfig(
         sigma=args.sigma,
         patch_side=args.p,
@@ -258,6 +272,8 @@ def _cmd_rank(args, out: _Output) -> dict:
     if not paths:
         raise ValueError(f"no .pgm images in {args.images}")
     images = [imgio.read_pgm(p)[0] for p in paths]
+    for path, u in zip(paths, images):
+        _check_fits(path, u, args.p)
     records = lattice.rank_textures(
         images,
         n_anchors=args.K,

@@ -6,8 +6,7 @@ Thresholds are upper quantiles of the distance law under unit white noise
 scaled by the noise variance, so the expected number of *rejected* patches
 in pure noise is controlled; each call computes them afresh from one law
 per window offset.  The classical exponentially-weighted NL-means is
-provided for comparison, along with PSNR and a diagnostic radius
-bounding the patch reconstruction error.
+provided for comparison, along with PSNR.
 
 Unlike detection, denoising never wraps patches: only windows fully inside
 the image take part, and the final pixel estimate averages the available
@@ -27,7 +26,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .background import white_noise_law
 from .quadform import fit, quantile
@@ -39,7 +37,6 @@ __all__ = [
     "nlmeans_classic",
     "nlmeans_threshold",
     "psnr",
-    "reconstruction_bound",
 ]
 
 @dataclass(frozen=True)
@@ -266,16 +263,3 @@ def psnr(reference, estimate) -> float:
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(peak / mse)
-
-
-def reconstruction_bound(cfg: DenoiseConfig, eps: float) -> float:
-    """Radius such that each selected patch (hence their mean) lies within
-    it of the clean patch with probability at least ``1 - eps``:
-    ``sigma * (sqrt(max_t a(t)) + sqrt(chi-square quantile at 1 - eps))``.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must be in (0,1)")
-    a_map, _ = nlmeans_a_priori_threshold(cfg.patch_side, cfg.search_radius, cfg.nfa_max)
-    a_t = float(a_map.max())
-    a_w = float(special.chdtri(cfg.patch_side**2, eps))
-    return cfg.sigma * (math.sqrt(a_t) + math.sqrt(a_w))

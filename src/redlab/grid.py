@@ -8,12 +8,10 @@ Conventions used across the package:
   field on the discrete torus.
 * an *offset* is an integer translation ``t = (t_x, t_y)``.
 * an *offset map* is a ``(height, width)`` array whose value for offset
-  ``t`` lives at ``map[t_y % height, t_x % width]``.  :func:`centered_coords`
-  converts raw offsets to representatives in
-  ``[-M/2, M/2) x [-M/2, M/2)``.
-* patches are vectorized in a fixed canonical order (column-major over the
-  patch coordinates: x varies slowest, then y), and every covariance
-  matrix built elsewhere uses the same order.
+  ``t`` lives at ``map[t_y % height, t_x % width]``.
+* a patch is a ``p x p`` square.  Its pixels are listed in a fixed
+  canonical order (column-major: x varies slowest, then y), which matters
+  only to the covariance-matrix oracles of the tests.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ __all__ = [
     "PatchDomain",
     "as_map",
     "autocorrelation",
-    "centered_coords",
     "laplacian",
 ]
 
@@ -37,50 +34,26 @@ AS_CLAMP_REL = 1e-9
 
 @dataclass(frozen=True)
 class PatchDomain:
-    """A finite set of pixel coordinates, canonically a ``p x p`` square.
-
-    ``anchor`` is the (x, y) position of the patch corner.  For the square
-    form the domain is ``anchor + [0, side) x [0, side)``.  An explicit
-    coordinate list (shape ``(n, 2)``, columns x, y) may be given instead;
-    it is kept in canonical order (sorted by x then y) and must not contain
-    duplicates.
-    """
+    """The ``p x p`` square ``anchor + [0, side) x [0, side)`` of pixels,
+    ``anchor`` being the (x, y) position of its corner."""
 
     anchor: tuple[int, int] = (0, 0)
     side: int | None = None
-    coords_list: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
-        if (self.side is None) == (self.coords_list is None):
-            raise ValueError("give exactly one of side= or coords_list=")
-        if self.side is not None and self.side < 1:
+        if self.side is None or self.side < 1:
             raise ValueError("patch side must be >= 1")
-        if self.coords_list is not None:
-            if len(self.coords_list) == 0:
-                raise ValueError("empty patch domain")
-            ordered = tuple(sorted((int(x), int(y)) for x, y in self.coords_list))
-            if len(set(ordered)) != len(ordered):
-                raise ValueError("duplicate coordinates in patch domain")
-            object.__setattr__(self, "coords_list", ordered)
-
-    @property
-    def is_square(self) -> bool:
-        return self.side is not None
 
     def size(self) -> int:
-        if self.side is not None:
-            return self.side * self.side
-        return len(self.coords_list)
+        return self.side * self.side
 
     def coords(self) -> np.ndarray:
         """Coordinates as an ``(n, 2)`` int array in canonical order."""
-        if self.side is not None:
-            ax, ay = self.anchor
-            p = self.side
-            xs = np.repeat(np.arange(p), p) + ax
-            ys = np.tile(np.arange(p), p) + ay
-            return np.stack([xs, ys], axis=1)
-        return np.asarray(self.coords_list, dtype=np.int64)
+        ax, ay = self.anchor
+        p = self.side
+        xs = np.repeat(np.arange(p), p) + ax
+        ys = np.tile(np.arange(p), p) + ay
+        return np.stack([xs, ys], axis=1)
 
 
 def _as_image(u) -> np.ndarray:
@@ -90,18 +63,6 @@ def _as_image(u) -> np.ndarray:
     if not np.all(np.isfinite(u)):
         raise ValueError("image contains non-finite values")
     return u
-
-
-def centered_coords(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Centered (t_x, t_y) grids for an offset map of the given shape.
-
-    Returns two ``(h, w)`` integer arrays; entry ``[ty, tx]`` holds the
-    centered representative of the raw offset ``(tx, ty)``.
-    """
-    h, w = shape
-    tx = (np.arange(w) + w // 2) % w - w // 2
-    ty = (np.arange(h) + h // 2) % h - h // 2
-    return np.broadcast_to(tx, (h, w)).copy(), np.broadcast_to(ty[:, None], (h, w)).copy()
 
 
 def as_map(u, patch: PatchDomain | list[PatchDomain]) -> np.ndarray:

@@ -103,7 +103,7 @@ def build_graph(d_map: np.ndarray, as_values: np.ndarray) -> DetectionGraph:
     for comp in comps:
         if np.any((comp[:, 0] == 0) & (comp[:, 1] == 0)):
             continue  # origin's component carries no repetition offset
-        ctx = (comp[:, 1] + w // 2) % w - w // 2  # as in grid.centered_coords
+        ctx = (comp[:, 1] + w // 2) % w - w // 2  # oracles.centered_coords
         cty = (comp[:, 0] + h // 2) % h - h // 2
         keys = [(as_values[iy, ix], cx, cy) for (iy, ix), cx, cy in zip(comp, ctx, cty)]
         best = min(range(len(comp)), key=keys.__getitem__)
@@ -322,11 +322,12 @@ def rank_textures(
     # Validate every image before the first law table is built.
     for idx, u in enumerate(images):
         h, w = u.shape
+        name = labels[idx] if labels is not None else f"image {idx}"
         if h < patch_side or w < patch_side:
-            raise ValueError(f"image {idx} smaller than the patch")
+            raise ValueError(f"{name} smaller than the patch")
         if not 0.0 < nfa_max / (h * w) < 1.0:
             raise ValueError(
-                f"nfa_max = {nfa_max} must lie in (0, |domain|) = (0, {h * w}) for image {idx}"
+                f"nfa_max = {nfa_max} must lie in (0, |domain|) = (0, {h * w}) for {name}"
             )
     records = []
     for idx, u in enumerate(images):

@@ -18,6 +18,9 @@ increment covariance on the plane, a seeded Monte-Carlo CDF, and the
 co-occurrence inertia, a second formula for the auto-similarity.  They
 depend only on numpy, scipy's special functions, the model's
 autocorrelation and the patch coordinates, never on the code under test.
+Last come two quantities that only the tests use: the centered offset
+grids of an offset map, and the paper's NL-means reconstruction bound,
+which builds on the library's white-noise thresholds.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
-from redlab.background import COV_SIDE_CAP, from_exemplar, white_noise_law
+from redlab.background import from_exemplar, white_noise_law
+from redlab.denoise import nlmeans_a_priori_threshold
 from redlab.detect import offset_laws
 from redlab.grid import PatchDomain, as_map
 from redlab.lattice import (
@@ -45,6 +49,9 @@ KIND_WOOD, KIND_GAMMA, KIND_POINT = 0, 1, 2
 _ALPHA2_CAP = 1e7
 _NEG_CUMULANT_TOL = 1e-10
 _DEGENERATE_REL = 1e-12
+
+# Side cap (pixels) of the dense covariance matrices the oracles form.
+COV_SIDE_CAP = 4096
 
 
 def _patch_diff_table(coords: np.ndarray, shape: tuple[int, int]):
@@ -164,6 +171,19 @@ def auto_similarity(u, t, patch) -> float:
     return float(np.sum((shifted - base) ** 2))
 
 
+def centered_coords(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Centered (t_x, t_y) grids for an offset map of the given shape.
+
+    Returns two ``(h, w)`` integer arrays; entry ``[ty, tx]`` holds the
+    centered representative of the raw offset ``(tx, ty)``, in
+    ``[-w/2, w/2) x [-h/2, h/2)``.
+    """
+    h, w = shape
+    tx = (np.arange(w) + w // 2) % w - w // 2
+    ty = (np.arange(h) + h // 2) % h - h // 2
+    return np.broadcast_to(tx, (h, w)).copy(), np.broadcast_to(ty[:, None], (h, w)).copy()
+
+
 def as_map_naive(u, patch) -> np.ndarray:
     """Loop evaluation of the auto-similarity map, one offset at a time."""
     h, w = np.shape(u)
@@ -190,8 +210,8 @@ def delta_map(model, t) -> np.ndarray:
 
 def covariance_matrix(model, t, patch) -> np.ndarray:
     """Covariance matrix of the increment field over the patch, entries
-    ``delta(t, x_i - x_j)`` in canonical patch order, under the library's
-    side cap."""
+    ``delta(t, x_i - x_j)`` in canonical patch order, under
+    ``COV_SIDE_CAP``."""
     n = patch.size()
     if n > COV_SIDE_CAP:
         raise ValueError(f"patch size {n} exceeds covariance cap {COV_SIDE_CAP}")
@@ -590,6 +610,21 @@ def loop_nlmeans_threshold(u, p: int, c: int, applied: np.ndarray, s2: float):
         accepted.append((tx, ty, acc))
     weights = ((tx, ty, acc / counts) for tx, ty, acc in accepted)
     return _aggregate(u, p, weights), counts
+
+
+def reconstruction_bound(cfg, eps: float) -> float:
+    """The paper's reconstruction guarantee: a radius such that each
+    selected patch (hence their mean) lies within it of the clean patch
+    with probability at least ``1 - eps``, ``sigma * (sqrt(max_t a(t)) +
+    sqrt(chi-square quantile at 1 - eps))`` for the ``DenoiseConfig``
+    ``cfg``.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must be in (0,1)")
+    a_map, _ = nlmeans_a_priori_threshold(cfg.patch_side, cfg.search_radius, cfg.nfa_max)
+    a_t = float(a_map.max())
+    a_w = float(special.chdtri(cfg.patch_side**2, eps))
+    return cfg.sigma * (math.sqrt(a_t) + math.sqrt(a_w))
 
 
 def loop_nlmeans_classic(u, p: int, c: int, h_bandwidth: float):

@@ -9,6 +9,7 @@ code paths under test.
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from oracles import (
@@ -121,8 +122,7 @@ def test_c03_wood_f_cdf_accuracy():
     with Budget("criterion 3: Wood-F CDF vs Monte-Carlo", 300):
         rng = np.random.default_rng(303)
         n_samples = 1_000_000
-        violations = 0
-        probes_total = 0
+        laws = []
         for i in range(50):
             size = int(rng.integers(3, 101))
             lam = rng.uniform(0.0, 5.0, size=size)
@@ -132,7 +132,18 @@ def test_c03_wood_f_cdf_accuracy():
             probes = np.array(
                 [quantile(params, q) for q in (0.05, 0.25, 0.5, 0.75, 0.95)]
             )
-            emp = mc_cdf(lam, probes, n_samples, seed=9000 + i)
+            laws.append((i, lam, params, probes))
+
+        def empirical(case):
+            i, lam, _, probes = case
+            return mc_cdf(lam, probes, n_samples, seed=9000 + i)
+
+        # Each law draws its own seeded sample, so the laws split over two threads.
+        with ThreadPoolExecutor(2) as pool:
+            emps = list(pool.map(empirical, laws))
+        violations = 0
+        probes_total = 0
+        for (_, _, params, probes), emp in zip(laws, emps):
             ref = np.array([cdf(params, float(x)) for x in probes])
             band = 3.0 * np.sqrt(np.maximum(emp * (1 - emp), 1e-12) / n_samples)
             violations += int(np.sum(np.abs(emp - ref) > 0.01 + band))

@@ -587,6 +587,28 @@ def test_truncated_header_exits_2_naming_the_file(tmp_path, capsys, argv):
     assert "b_cut.pgm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, code, option",
+    [
+        (["denoise", "{image}", "--sigma", "5", "--p", "30"], 2, "--p"),
+        (["denoise", "{image}", "--sigma", "5", "--p", "1", "--c", "0"], 2, "--nfa"),  # 4.41 > 1
+        (["rank", "{folder}", "--p", "30"], 2, "--p"),
+        (["denoise", "{image}", "--sigma", "1e160", "--p", "4", "--c", "2"], 3, "--sigma"),
+    ],
+)
+def test_option_out_of_range_names_the_input_and_the_option(
+    tmp_path, capsys, stripe_image, argv, code, option
+):
+    path, _ = stripe_image  # 24 x 24
+    argv = [a.format(image=path, folder=tmp_path) for a in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert path.name in err and option in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------- edge geometries
 
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from oracles import (
     axis_triple_counts,
+    centered_coords,
     dense_cumulants,
     loop_offset_laws,
     pair_square_traces,
@@ -29,7 +30,7 @@ import redlab.background as background
 import redlab.detect as detect
 from redlab.background import MicrotextureModel, cumulants, from_exemplar, white_noise
 from redlab.detect import offset_laws, stride_mask
-from redlab.grid import PatchDomain, centered_coords
+from redlab.grid import PatchDomain
 from redlab.quadform import KIND_POINT, QuadFormLaw, fit
 
 K_RTOL = 1e-12
@@ -71,13 +72,6 @@ def test_engine_matches_dense_trace(seed):
         patch = PatchDomain(anchor=anchor, side=p)
         offsets = np.concatenate([[[0, 0]], random_offsets(rng, h, w, 12)])
         assert_cumulants_match(model, offsets, patch)
-
-
-def test_engine_coordinate_list_patch_uses_dense_traces():
-    rng = np.random.default_rng(7)
-    model = from_exemplar(rng.standard_normal((9, 11)))
-    patch = PatchDomain(coords_list=((0, 0), (3, 1), (1, 4), (12, 2), (5, 5)))
-    assert_cumulants_match(model, random_offsets(rng, 9, 11, 15), patch)
 
 
 def test_engine_p1_is_the_pixel_variance_law():
@@ -169,8 +163,9 @@ def chunk_cases():
         model = from_exemplar(rng.standard_normal((h, w)) * rng.uniform(0.5, 3.0))
         p = int(rng.integers(2, max(h, w) + 3))
         yield model, PatchDomain(anchor=(int(rng.integers(-9, 9)), 3), side=p)
+    # a patch anchored outside the torus and wider than half of it
     model = from_exemplar(rng.standard_normal((9, 11)))
-    yield model, PatchDomain(coords_list=((0, 0), (3, 1), (1, 4), (12, 2), (5, 5)))
+    yield model, PatchDomain(anchor=(12, 2), side=7)
     tile = rng.standard_normal((4, 5))
     yield from_exemplar(np.tile(tile, (3, 2))), PatchDomain(anchor=(2, 1), side=6)
 
@@ -189,7 +184,7 @@ def test_cumulants_are_bitwise_independent_of_chunks_masks_and_threads(case, mon
     runs = [by_offset(*call, model.shape) for call in calls]
     # wrapped offsets, and every exact period of the tiled model
     offsets = np.concatenate([random_offsets(rng, h, w, 30), [[5, 0], [0, 4], [5, 8]]])
-    per_chunk = (2 * patch.side - 1) ** 2 if patch.is_square else patch.size() ** 2
+    per_chunk = (2 * patch.side - 1) ** 2
     for entries in (1, 7 * per_chunk, background._CHUNK_ENTRIES):
         monkeypatch.setattr(background, "_CHUNK_ENTRIES", entries)
         runs.append(by_offset(offsets, cumulants(model, offsets, patch), model.shape))

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import loop_nlmeans_classic, loop_nlmeans_threshold
+from oracles import loop_nlmeans_classic, loop_nlmeans_threshold, reconstruction_bound
 from scipy import special, stats
 
 from redlab.denoise import (
@@ -13,7 +13,6 @@ from redlab.denoise import (
     nlmeans_classic,
     nlmeans_threshold,
     psnr,
-    reconstruction_bound,
 )
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from oracles import centered_coords
 from scipy import stats
 
 import redlab.detect as detect
 from redlab.background import cumulants, from_exemplar, sample, white_noise
 from redlab.detect import autosim_detection, offset_laws, stride_mask
-from redlab.grid import PatchDomain, as_map, centered_coords
+from redlab.grid import PatchDomain, as_map
 from redlab.quadform import KIND_POINT, KIND_WOOD, cdf, fit, quantile
 
 

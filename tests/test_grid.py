@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import as_map_naive, auto_similarity, inertia
+from oracles import as_map_naive, auto_similarity, centered_coords, inertia
 
 from redlab.grid import (
     PatchDomain,
     as_map,
     autocorrelation,
-    centered_coords,
     laplacian,
 )
 
@@ -28,12 +27,6 @@ def small_images(max_side=8):
 def test_patch_domain_validation():
     with pytest.raises(ValueError):
         PatchDomain(side=0)
-    with pytest.raises(ValueError):
-        PatchDomain(coords_list=())
-    with pytest.raises(ValueError):
-        PatchDomain(coords_list=((0, 0), (0, 0)))
-    with pytest.raises(ValueError):
-        PatchDomain(side=2, coords_list=((0, 0),))
     with pytest.raises(ValueError):
         PatchDomain()
 
@@ -79,9 +72,7 @@ def test_auto_similarity_nonneg_and_shift_symmetry(u, tx, ty):
     pd = PatchDomain(anchor=(1, 1), side=min(3, n))
     val = auto_similarity(u, (tx, ty), pd)
     assert val >= 0.0
-    shifted = PatchDomain(
-        coords_list=tuple((int(x + tx), int(y + ty)) for x, y in pd.coords())
-    )
+    shifted = PatchDomain(anchor=(1 + tx, 1 + ty), side=pd.side)
     assert auto_similarity(u, (-tx, -ty), shifted) == pytest.approx(val, abs=1e-9)
 
 
@@ -110,7 +101,7 @@ def test_as_map_matches_naive_all_offsets():
 def test_as_map_nonsquare_image_and_patch_list():
     rng = np.random.default_rng(5)
     u = rng.standard_normal((6, 9))
-    pd = PatchDomain(coords_list=((0, 0), (1, 2), (4, 3), (8, 5)))
+    pd = PatchDomain(anchor=(7, 4), side=4)  # wraps on both axes
     fast = as_map(u, pd)
     slow = as_map_naive(u, pd)
     assert np.allclose(fast, slow, rtol=1e-8, atol=1e-10 * np.sum(u * u))
@@ -129,12 +120,6 @@ def _random_square(rng, shape, side):
     return PatchDomain(anchor=(int(rng.integers(0, w)), int(rng.integers(0, h))), side=side)
 
 
-def _random_coords(rng, shape, n):
-    h, w = shape
-    cells = rng.choice(3 * h * w, size=n, replace=False)  # beyond one period
-    return PatchDomain(coords_list=tuple((int(c % (3 * w)), int(c // (3 * w))) for c in cells))
-
-
 @pytest.mark.parametrize("shape", [(16, 16), (37, 23)])
 def test_as_map_stack_matches_single_patch_maps(shape):
     rng = np.random.default_rng(sum(shape))
@@ -143,7 +128,6 @@ def test_as_map_stack_matches_single_patch_maps(shape):
     patches = (
         [_random_square(rng, shape, 7) for _ in range(5)]  # anchors near the edges wrap
         + [PatchDomain(anchor=(w - 2, h - 3), side=6)]  # wraps on both axes
-        + [_random_coords(rng, shape, 9) for _ in range(3)]
         + [PatchDomain(anchor=(1, 2), side=max(h, w) + 3)]  # coordinates collide
     )
     for k in (1, 4, len(patches)):

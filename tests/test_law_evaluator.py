@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from oracles import (
     bisect_quantile,
+    centered_coords,
     class_table_threshold,
     law_from_eigenvalues,
     scalar_fit,
@@ -29,7 +30,7 @@ from redlab import quadform
 from redlab.background import from_exemplar, white_noise, white_noise_law
 from redlab.denoise import nlmeans_a_priori_threshold
 from redlab.detect import OffsetLawTable, offset_laws, stride_mask
-from redlab.grid import PatchDomain, as_map, centered_coords
+from redlab.grid import PatchDomain, as_map
 from redlab.quadform import (
     KIND_GAMMA,
     KIND_POINT,

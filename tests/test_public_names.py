@@ -54,6 +54,9 @@ def test_law_table_exposes_its_map_methods_and_fields():
         ("background", "white_noise_eigenvalue_blocks"),
         ("background", "white_noise_eigenvalues"),
         ("grid", "inertia"),
+        ("denoise", "reconstruction_bound"),
+        ("grid", "centered_coords"),
+        ("background", "COV_SIDE_CAP"),
     ],
 )
 def test_test_only_oracles_live_under_tests(module, name):
