@@ -4,20 +4,21 @@ Subcommands: ``detect`` (offset redundancy maps), ``denoise`` (threshold
 NL-means), ``lattice`` (basis extraction), ``rank`` (periodicity ranking
 of a directory of images) and ``sample`` (background-model draws).
 
-Output contract, the same for every run.  The library returns arrays and
-dataclasses; this module alone turns them into files:
+Output contract, the same for every run.  Commands turn the library's
+arrays into outputs (JSON text, or an image writer) and write nothing:
 
-* ``--out`` is created at the first write, so a run that fails before
-  writing leaves no directory;
-* every run writes a ``manifest.json`` with the resolved parameters (and
-  the seed of the seeded commands) and the files it wrote; rerunning with
-  the same parameters reproduces every output byte for byte;
+* ``main`` encodes all JSON and the manifest, then creates ``--out`` and
+  writes, so a run that fails before its writes leaves no directory;
+* ``manifest.json`` (schema 2) records each option under its own name,
+  the images ``rank`` read and the files written; rerunning with the
+  same parameters reproduces every output byte for byte;
 * JSON is strict: arrays become lists, an infinity is the string
   ``"inf"`` (``"-inf"``), and a NaN is a numerical failure.  The one
   exception is ``ranking.json``, which writes infinite scores as a bare
   ``Infinity``;
-* float options must be finite, and the counts ``--K``, ``--iters`` and
-  ``--mask`` at least 1; the parser rejects anything else.
+* float options must be finite, ``--c`` at least 0, and the counts
+  (``--K``, ``--iters``, ``--mask``, ``--p`` and the ``p`` of ``--patch
+  x,y,p``) at least 1; the parser rejects anything else.
 
 Exit codes: 0 success, 2 invalid input, I/O error or an input too large
 for memory, 3 numerical failure (a non-finite result included).
@@ -56,24 +57,14 @@ def _strict(obj, name: str):
     return obj
 
 
-class _Output:
-    """The files of one run under ``--out``, recorded for the manifest."""
+def _json(obj, name: str) -> str:
+    """``obj`` as the strict JSON text of the output file ``name``."""
+    return json.dumps(_strict(obj, name), indent=2, allow_nan=False) + "\n"
 
-    def __init__(self, outdir: str):
-        self.dir = Path(outdir)
-        self.files: dict[str, str] = {}
 
-    def path(self, name: str, key: str | None = None) -> Path:
-        """Path of the output ``name``, listed in the manifest as ``key``."""
-        self.dir.mkdir(parents=True, exist_ok=True)
-        path = self.dir / name
-        if key is not None:
-            self.files[key] = str(path)
-        return path
-
-    def json(self, name: str, obj, key: str | None = None) -> None:
-        text = json.dumps(_strict(obj, name), indent=2, allow_nan=False)
-        self.path(name, key).write_text(text + "\n")
+def _pgm(image, maxval: int):
+    """The writer of ``image`` as a PGM file."""
+    return lambda path: imgio.write_pgm(path, image, maxval=maxval)
 
 
 def finite(text: str) -> float:
@@ -92,13 +83,19 @@ def count(text: str) -> int:
     return value
 
 
-def _parse_patch(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"--patch wants x,y,p (got {text!r})")
-    x, y, p = (int(v) for v in parts)
+def nonnegative(text: str) -> int:
+    """Parser type of ``--c``, a count that may be 0."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def patch(text: str) -> tuple[int, int, int]:
+    """Parser type of ``--patch x,y,p``: the anchor and a side of at least 1."""
+    x, y, p = (int(v) for v in text.split(","))
     if p < 1:
-        raise ValueError("patch side must be >= 1")
+        raise ValueError(text)
     return x, y, p
 
 
@@ -110,20 +107,18 @@ def _check_fits(path, u, p: int) -> None:
         raise ValueError(f"{path}: {w}x{h} image smaller than the patch (--p {p})")
 
 
-def _cmd_detect(args, out: _Output) -> dict:
+def _cmd_detect(args):
     u, _ = imgio.read_pgm(args.input)
-    x, y, p = _parse_patch(args.patch)
-    patch = PatchDomain(anchor=(x, y), side=p)
+    x, y, p = args.patch
+    domain = PatchDomain(anchor=(x, y), side=p)
     if args.model == "exemplar":
         model = background.from_exemplar(u)
     else:
         model = background.white_noise(u.shape, std=float(u.std()))
     mask = None if args.mask is None else detect.stride_mask(u.shape, args.mask)
-    result = detect.autosim_detection(u, patch, model, args.nfa, mask=mask)
+    result = detect.autosim_detection(u, domain, model, args.nfa, mask=mask)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    imgio.write_pfm(out.path("P_map.pfm", "p_map"), result.p_map)
-    imgio.write_pgm(out.path("D_map.pgm", "d_map"), result.d_map * 255.0, maxval=255)
     meta = {
         "patch": {"anchor": [x, y], "side": p},
         "nfa_max": args.nfa,
@@ -137,17 +132,14 @@ def _cmd_detect(args, out: _Output) -> dict:
         "n_detected": result.n_detected,
         "warnings": result.warnings,
     }
-    out.json("detection.json", meta, key="meta")
-    return {
-        "input": args.input,
-        "patch": [x, y, p],
-        "nfa_max": args.nfa,
-        "model": args.model,
-        "mask_stride": args.mask,
-    }
+    return {}, [
+        ("p_map", "P_map.pfm", lambda path: imgio.write_pfm(path, result.p_map)),
+        ("d_map", "D_map.pgm", _pgm(result.d_map * 255.0, 255)),
+        ("meta", "detection.json", _json(meta, "detection.json")),
+    ]
 
 
-def _cmd_denoise(args, out: _Output) -> dict:
+def _cmd_denoise(args):
     if args.sigma <= 0:
         raise ValueError(f"{args.input}: --sigma must be positive")
     u, maxval = imgio.read_pgm(args.input)
@@ -176,17 +168,10 @@ def _cmd_denoise(args, out: _Output) -> dict:
         clean, _ = imgio.read_pgm(args.clean)
         stats["psnr_noisy_dB"] = denoise.psnr(clean, u)
         stats["psnr_denoised_dB"] = denoise.psnr(clean, report.denoised)
-    imgio.write_pgm(out.path("denoised.pgm", "denoised"), report.denoised, maxval=maxval)
-    out.json("report.json", stats, key="report")
-    return {
-        "input": args.input,
-        "sigma": args.sigma,
-        "nfa_max": args.nfa,
-        "patch_side": args.p,
-        "search_radius": args.c,
-        "mode": args.mode,
-        "clean": args.clean,
-    }
+    return {}, [
+        ("denoised", "denoised.pgm", _pgm(report.denoised, maxval)),
+        ("report", "report.json", _json(stats, "report.json")),
+    ]
 
 
 def _lattice_points_in_bounds(anchor, basis, shape, cap=10000):
@@ -213,30 +198,18 @@ def _lattice_points_in_bounds(anchor, basis, shape, cap=10000):
     return points
 
 
-def _cmd_lattice(args, out: _Output) -> dict:
+def _cmd_lattice(args):
     u, maxval = imgio.read_pgm(args.input)
-    x, y, p = _parse_patch(args.patch)
-    patch = PatchDomain(anchor=(x, y), side=p)
+    x, y, p = args.patch
     work = laplacian(u) if args.preprocess == "laplacian" else u
     model = background.from_exemplar(work)
-    result = detect.autosim_detection(work, patch, model, args.nfa)
-    params = {
-        "input": args.input,
-        "patch": [x, y, p],
-        "nfa_max": args.nfa,
-        "preprocess": args.preprocess,
-        "delta_b": args.dB,
-        "delta_m": args.dM,
-        "n_iter": args.iters,
-        "init": args.init,
-        "seed": args.seed,
-    }
+    result = detect.autosim_detection(work, PatchDomain(anchor=(x, y), side=p), model, args.nfa)
     try:
         graph = lattice.build_graph(result.d_map, result.as_values)
     except lattice.GraphTooSmall as exc:
-        out.json("fit.json", {"status": "insufficient detections", "detail": str(exc)}, key="fit")
         print(f"insufficient detections: {exc}", file=sys.stderr)
-        return params
+        failed = {"status": "insufficient detections", "detail": str(exc)}
+        return {}, [("fit", "fit.json", _json(failed, "fit.json"))]
     fit = lattice.alternate_minimization(
         graph.edge_vectors,
         args.dB,
@@ -254,17 +227,18 @@ def _cmd_lattice(args, out: _Output) -> dict:
         "c_per": lattice.c_per(fit, graph.n_components),
         **dataclasses.asdict(fit),
     }
-    out.json("fit.json", payload, key="fit")
     overlay = u.copy()
     if not fit.degenerate:
         for px, py in _lattice_points_in_bounds((x, y), fit.basis, u.shape):
             iy, ix = int(round(py)), int(round(px))
             overlay[max(0, iy - 1) : iy + 2, max(0, ix - 1) : ix + 2] = maxval
-    imgio.write_pgm(out.path("overlay.pgm", "overlay"), overlay, maxval=maxval)
-    return params
+    return {}, [
+        ("fit", "fit.json", _json(payload, "fit.json")),
+        ("overlay", "overlay.pgm", _pgm(overlay, maxval)),
+    ]
 
 
-def _cmd_rank(args, out: _Output) -> dict:
+def _cmd_rank(args):
     indir = Path(args.images)
     if not indir.is_dir():
         raise ValueError(f"not a directory: {args.images}")
@@ -288,23 +262,13 @@ def _cmd_rank(args, out: _Output) -> dict:
     for rec in records:
         rec.pop("c_per_values", None)
     # Bare ``Infinity`` scores: benchmarks/checks.py compares them as numbers.
-    out.path("ranking.json", "ranking").write_text(json.dumps(records, indent=2) + "\n")
-    return {
-        "images": [str(p) for p in paths],
-        "K": args.K,
-        "patch_side": args.p,
-        "nfa_max": args.nfa,
-        "delta_m": args.dM,
-        "delta_b": args.dB,
-        "n_iter": args.iters,
-        "seed": args.seed,
-    }
+    ranking = json.dumps(records, indent=2) + "\n"
+    return {"images": [str(p) for p in paths]}, [("ranking", "ranking.json", ranking)]
 
 
-def _cmd_sample(args, out: _Output) -> dict:
+def _cmd_sample(args):
     if (args.model_from is None) == (args.white is None):
         raise ValueError("give exactly one of --model-from or --white WxH")
-    offset = 0.0
     if args.model_from is not None:
         u, maxval = imgio.read_pgm(args.model_from)
         model = background.from_exemplar(u)
@@ -323,13 +287,7 @@ def _cmd_sample(args, out: _Output) -> dict:
         draw = background.sample(model, args.seed) + offset
     if not np.isfinite(draw).all():
         raise ArithmeticError(f"the draw overflows (--std {args.std})")
-    imgio.write_pgm(out.path("sample.pgm", "sample"), draw, maxval=maxval)
-    return {
-        "model_from": args.model_from,
-        "white": args.white,
-        "std": args.std,
-        "seed": args.seed,
-    }
+    return {}, [("sample", "sample.pgm", _pgm(draw, maxval))]
 
 
 def _input_of(args) -> str:
@@ -356,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("detect", help="offset redundancy detection maps")
     d.add_argument("input", help="input PGM image")
-    d.add_argument("--patch", required=True, help="x,y,p patch anchor and side")
+    d.add_argument("--patch", type=patch, required=True, help="x,y,p patch anchor and side")
     d.add_argument("--nfa", type=finite, default=1.0, help="NFA budget")
     d.add_argument("--model", choices=("white", "exemplar"), default="exemplar")
     d.add_argument("--mask", type=count, default=None, help="offset stride mask")
@@ -367,8 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
     n.add_argument("input", help="noisy PGM image")
     n.add_argument("--sigma", type=finite, required=True, help="noise std (gray levels)")
     n.add_argument("--nfa", type=finite, default=4.41, help="rejected-offset budget")
-    n.add_argument("--p", type=int, default=8, help="patch side")
-    n.add_argument("--c", type=int, default=10, help="search radius")
+    n.add_argument("--p", type=count, default=8, help="patch side")
+    n.add_argument("--c", type=nonnegative, default=10, help="search radius")
     n.add_argument(
         "--mode", choices=("constant-mean", "per-offset"), default="constant-mean"
     )
@@ -378,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     la = sub.add_parser("lattice", help="lattice extraction")
     la.add_argument("input", help="input PGM image")
-    la.add_argument("--patch", required=True, help="x,y,p patch anchor and side")
+    la.add_argument("--patch", type=patch, required=True, help="x,y,p patch anchor and side")
     la.add_argument("--nfa", type=finite, default=10.0, help="NFA budget")
     la.add_argument("--preprocess", choices=("none", "laplacian"), default="none")
     la.add_argument("--dB", type=finite, default=1e-2, help="basis regularizer")
@@ -391,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rank", help="periodicity ranking of a directory")
     r.add_argument("images", help="directory of PGM images")
     r.add_argument("--K", type=count, default=150, help="patch anchors per image")
-    r.add_argument("--p", type=int, default=20, help="patch side")
+    r.add_argument("--p", type=count, default=20, help="patch side")
     r.add_argument("--nfa", type=finite, default=1.0)
     r.add_argument("--dM", type=finite, default=10.0)
     r.add_argument("--dB", type=finite, default=1e-2)
@@ -409,20 +367,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    out = _Output(args.out)
+    args = _build_parser().parse_args(argv)
     try:
-        params = args.func(args, out)
+        resolved, outputs = args.func(args)
+        outdir = Path(args.out)
+        params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
         manifest = {
-            "schema": 1,
+            "schema": 2,
             "tool": "redlab",
             "version": __version__,
             "command": args.command,
-            "params": params,
-            "outputs": dict(out.files),
+            "params": {**params, **resolved},
+            "outputs": {key: str(outdir / name) for key, name, _ in outputs},
         }
-        out.json("manifest.json", manifest)
+        outputs.append(("manifest", "manifest.json", _json(manifest, "manifest.json")))
+        outdir.mkdir(parents=True, exist_ok=True)
+        for _, name, content in outputs:
+            if callable(content):
+                content(outdir / name)
+            else:
+                (outdir / name).write_text(content)
         return 0
     # LinAlgError subclasses ValueError, so numerical failures go first.
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -250,7 +250,7 @@ def mc_cdf(eigenvalues, x, n_samples: int, seed: int) -> float | np.ndarray:
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
     rng = np.random.default_rng(seed)
     counts = np.zeros(xs.shape, dtype=np.int64)
-    chunk = 1 << 16
+    chunk = 1 << 14
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)

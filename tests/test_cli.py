@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from redlab.background import from_exemplar
-from redlab.cli import main
+from redlab.cli import _build_parser, main
 from redlab.detect import autosim_detection
 from redlab.grid import PatchDomain, laplacian
 from redlab.imgio import read_pfm, read_pgm, write_pgm
@@ -91,12 +93,6 @@ def test_detect_missing_input(tmp_path, capsys):
     rc = main(["detect", str(tmp_path / "nope.pgm"), "--patch", "0,0,4"])
     assert rc == 2
     assert not (tmp_path / "P_map.pfm").exists()
-
-
-def test_detect_bad_patch_spec(tmp_path, stripe_image):
-    path, _ = stripe_image
-    assert main(["detect", str(path), "--patch", "1,2"]) == 2
-    assert main(["detect", str(path), "--patch", "1,2,0"]) == 2
 
 
 def test_detect_calibration_harness(tmp_path):
@@ -512,7 +508,18 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         ["sample", "--model-from", "{image}"],
     ],
 )
-def test_every_json_output_is_strict_and_in_the_manifest(tmp_path, stripe_image, argv):
+def test_every_json_output_is_strict_and_in_the_manifest(
+    tmp_path, monkeypatch, stripe_image, argv
+):
+    import redlab.imgio
+
+    read = []
+
+    def recording_read_pgm(path):
+        read.append(str(path))
+        return read_pgm(path)
+
+    monkeypatch.setattr(redlab.imgio, "read_pgm", recording_read_pgm)
     path, _ = stripe_image
     board_image(tmp_path / "board.pgm")
     argv = [a.format(image=path, board=tmp_path / "board.pgm", folder=tmp_path) for a in argv]
@@ -522,6 +529,12 @@ def test_every_json_output_is_strict_and_in_the_manifest(tmp_path, stripe_image,
     assert manifest["command"] == argv[0]
     listed = {Path(p).name for p in manifest["outputs"].values()}
     assert listed | {"manifest.json"} == {p.name for p in out.iterdir()}
+    # Each option is recorded once, under its own name; rank resolves its folder.
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices[argv[0]]._actions} - {"help", "out"}
+    assert set(manifest["params"]) == dests
+    if argv[0] == "rank":
+        assert manifest["params"]["images"] == read
 
 
 def test_nan_in_a_json_output_exits_3(tmp_path, capsys, monkeypatch, stripe_image):
@@ -534,7 +547,35 @@ def test_nan_in_a_json_output_exits_3(tmp_path, capsys, monkeypatch, stripe_imag
             "--out", str(out)]
     assert main(argv) == 3
     assert "NaN in report.json" in capsys.readouterr().err
-    assert not (out / "report.json").exists() and not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "{image}", "--patch", "2,2,4", "--model", "white"],
+        ["denoise", "{image}", "--sigma", "10", "--p", "4", "--c", "2"],
+        ["lattice", "{board}", "--patch", "12,12,12", "--nfa", "1"],
+        ["rank", "{folder}", "--p", "8", "--K", "3"],
+        ["sample", "--white", "8x8", "--seed", "1"],
+    ],
+    ids=["detect", "denoise", "lattice", "rank", "sample"],
+)
+def test_nan_in_the_manifest_exits_3_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, stripe_image, argv
+):
+    # Only the manifest fails to encode, so every other output is ready
+    # when the run fails: none of them may reach --out.
+    import redlab.cli
+
+    monkeypatch.setattr(redlab.cli, "__version__", float("nan"))
+    path, _ = stripe_image
+    board_image(tmp_path / "board.pgm")
+    argv = [a.format(image=path, board=tmp_path / "board.pgm", folder=tmp_path) for a in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "NaN in manifest.json" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -551,6 +592,11 @@ def test_nan_in_a_json_output_exits_3(tmp_path, capsys, monkeypatch, stripe_imag
         ["rank", "{folder}", "--K", "-3"],
         ["rank", "{folder}", "--iters", "0"],
         ["sample", "--white", "8x8", "--std", "nan"],
+        ["denoise", "{image}", "--sigma", "5", "--c", "-1"],
+        ["denoise", "{image}", "--sigma", "5", "--p", "0"],
+        ["rank", "{folder}", "--p", "0"],
+        ["detect", "{image}", "--patch", "1,2"],
+        ["detect", "{image}", "--patch", "1,2,0"],
     ],
 )
 def test_non_finite_floats_and_counts_below_one_exit_2(tmp_path, capsys, stripe_image, argv):
@@ -560,7 +606,8 @@ def test_non_finite_floats_and_counts_below_one_exit_2(tmp_path, capsys, stripe_
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
     assert exc.value.code == 2
-    assert "invalid" in capsys.readouterr().err
+    option = re.search(r"argument (--\w+): invalid", capsys.readouterr().err)
+    assert option and option[1] in [a.split("=")[0] for a in argv]
     assert not out.exists()
 
 
