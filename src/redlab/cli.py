@@ -91,6 +91,9 @@ def nonnegative(text: str) -> int:
     return value
 
 
+_PATCH_HELP = "x,y,p patch anchor and side; write a negative anchor as --patch=-1,2,4"
+
+
 def patch(text: str) -> tuple[int, int, int]:
     """Parser type of ``--patch x,y,p``: the anchor and a side of at least 1."""
     x, y, p = (int(v) for v in text.split(","))
@@ -314,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("detect", help="offset redundancy detection maps")
     d.add_argument("input", help="input PGM image")
-    d.add_argument("--patch", type=patch, required=True, help="x,y,p patch anchor and side")
+    d.add_argument("--patch", type=patch, required=True, help=_PATCH_HELP)
     d.add_argument("--nfa", type=finite, default=1.0, help="NFA budget")
     d.add_argument("--model", choices=("white", "exemplar"), default="exemplar")
     d.add_argument("--mask", type=count, default=None, help="offset stride mask")
@@ -336,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     la = sub.add_parser("lattice", help="lattice extraction")
     la.add_argument("input", help="input PGM image")
-    la.add_argument("--patch", type=patch, required=True, help="x,y,p patch anchor and side")
+    la.add_argument("--patch", type=patch, required=True, help=_PATCH_HELP)
     la.add_argument("--nfa", type=finite, default=10.0, help="NFA budget")
     la.add_argument("--preprocess", choices=("none", "laplacian"), default="none")
     la.add_argument("--dB", type=finite, default=1e-2, help="basis regularizer")

@@ -6,11 +6,13 @@ replace: the dense trace cumulants of the increment covariance ``C_t``
 traces that sum ``tr C^3`` over every x-pair instead of one x-triple per
 symmetry orbit, with the triple counts counted pixel by pixel, the scalar
 three-branch law fit, the per-offset loop that fills a law table, the
-scalar law CDF and quantile with the vectorised table copies they once
-had, the NL-means thresholds from one law per class of equal offsets,
-the direct auto-similarity of one offset and the loop map built from
-it, and the NL-means loop that computes every offset's patch distances
-on its own, through freshly padded integral images.
+table that sends every offset but the mirror copies through the engine
+(before far offsets shared one law), the scalar law CDF and quantile
+with the vectorised table copies they once had, the NL-means
+thresholds from one law per class of equal offsets, the direct
+auto-similarity of one offset and the loop map built from it, and the
+NL-means loop that computes every offset's patch distances on its own,
+through freshly padded integral images.
 Independent references live here too: the law of an explicit spectrum,
 the closed-form white-noise spectrum of square patches, the offset
 correlation and increment covariance matrix, the dense white-noise
@@ -31,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
-from redlab.background import from_exemplar, white_noise_law
+from redlab.background import cumulants, from_exemplar, white_noise_law
 from redlab.denoise import nlmeans_a_priori_threshold
 from redlab.detect import offset_laws
 from redlab.grid import PatchDomain, as_map
@@ -155,6 +157,33 @@ def loop_offset_laws(model, patch, mask=None):
             law = dense_cumulants(model, (ix, iy), patch)
             kind[iy, ix], p0[iy, ix], p1[iy, ix], scale[iy, ix] = scalar_fit(*law)
     return kind, p0, p1, scale
+
+
+def engine_offset_laws(model, patch, mask=None):
+    """The law table with the ``-t`` mirror copy alone: every other
+    evaluated offset goes through the cumulant engine and one array fit,
+    as :func:`redlab.detect.offset_laws` did before it copied far offsets.
+    Returns ``(kind, p0, p1, scale)`` maps."""
+    h, w = model.shape
+    flat = np.arange(h * w).reshape(h, w)
+    mirror = ((-np.arange(h)) % h)[:, None] * w + (-np.arange(w)) % w
+    sel = np.ones((h, w), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    copy = sel & (mirror < flat) & sel.ravel()[mirror]
+    evaluate = sel & ~copy
+    ys, xs = np.nonzero(evaluate)
+    params = fit(cumulants(model, np.stack([xs, ys], axis=1), patch))
+    maps = []
+    for values, fill, dtype in (
+        (params.kind, KIND_POINT, np.uint8),
+        (params.p0, 0.0, np.float64),
+        (params.p1, 0.0, np.float64),
+        (params.scale, 0.0, np.float64),
+    ):
+        out = np.full((h, w), fill, dtype=dtype)
+        out[evaluate] = values
+        out[copy] = out.ravel()[mirror[copy]]
+        maps.append(out)
+    return tuple(maps)
 
 
 # ------------------------------------------------------ maps and matrices

@@ -68,6 +68,22 @@ def test_detect_stripes_outputs(tmp_path, stripe_image):
     assert manifest["params"]["patch"] == [3, 3, 4]
 
 
+def test_detect_takes_a_negative_anchor_after_an_equals_sign(tmp_path, capsys, stripe_image):
+    path, _ = stripe_image
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", str(path), "--patch", "-1,2,4", "--out", str(out)])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["detect", "--help"])
+    assert "--patch=-1,2,4" in " ".join(capsys.readouterr().out.split())
+    assert main(["detect", str(path), "--patch=-1,2,4", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["params"]["patch"] == [-1, 2, 4]
+    meta = json.loads((out / "detection.json").read_text())
+    assert meta["patch"] == {"anchor": [-1, 2], "side": 4}
+
+
 def test_detect_outputs_match_autosim_detection(tmp_path):
     rng = np.random.default_rng(10)
     path = tmp_path / "in.pgm"

@@ -21,6 +21,7 @@ from oracles import (
     axis_triple_counts,
     centered_coords,
     dense_cumulants,
+    engine_offset_laws,
     loop_offset_laws,
     pair_square_traces,
     scalar_fit,
@@ -28,7 +29,13 @@ from oracles import (
 
 import redlab.background as background
 import redlab.detect as detect
-from redlab.background import MicrotextureModel, cumulants, from_exemplar, white_noise
+from redlab.background import (
+    MicrotextureModel,
+    _symmetrized,
+    cumulants,
+    from_exemplar,
+    white_noise,
+)
 from redlab.detect import offset_laws, stride_mask
 from redlab.grid import PatchDomain
 from redlab.quadform import KIND_POINT, QuadFormLaw, fit
@@ -320,6 +327,85 @@ def test_offset_laws_with_everything_masked():
     assert table.fallback_counts() == {"wood_f": 0, "gamma_two_moment": 0, "point_mass": 0}
 
 
+def finite_support_model(rng, h, w):
+    """A model whose ``Gamma`` has exact finite support: a random kernel of
+    at most 4 x 4 pixels, its periodic correlation summed directly over
+    the kernel's pixel pairs (no FFT), then symmetrized."""
+    ky, kx = (a.ravel() for a in np.indices((int(v) for v in rng.integers(1, 5, 2))))
+    values = rng.standard_normal(ky.size) * rng.uniform(0.5, 3.0)
+    kernel = np.zeros((h, w))
+    np.add.at(kernel, (ky % h, kx % w), values)
+    gamma = np.zeros((h, w))
+    diffs = ((ky[None, :] - ky[:, None]) % h, (kx[None, :] - kx[:, None]) % w)
+    np.add.at(gamma, diffs, np.outer(values, values))
+    return MicrotextureModel(kernel=kernel, gamma=_symmetrized(gamma), kind="exemplar")
+
+
+def far_offsets(model, p):
+    """Offsets whose centred ``|t_x| >= p + r_x`` or ``|t_y| >= p + r_y``,
+    with ``r`` the support radii of ``Gamma``, found by an explicit scan;
+    and ``max(r_x, r_y)``."""
+    cx, cy = centered_coords(model.shape)
+    support = model.gamma != 0.0
+    rx, ry = (int(np.abs(c[support]).max(initial=0)) for c in (cx, cy))
+    return (np.abs(cx) >= p + rx) | (np.abs(cy) >= p + ry), max(rx, ry)
+
+
+def assert_bitwise(table, ref):
+    for got, want in zip((table.kind, table.p0, table.p1, table.scale), ref):
+        assert got.dtype == want.dtype and np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def far_cases(seed):
+    """Tori smaller than ``2(p + r)`` first (no far offset), then random
+    white-noise and finite-support models with negative anchors."""
+    rng = np.random.default_rng(4000 + seed)
+    yield white_noise((5, 7), 1.5), PatchDomain(anchor=(-2, 1), side=4)
+    yield finite_support_model(rng, 6, 6), PatchDomain(anchor=(1, -3), side=4)
+    for case in range(10):
+        h, w = (int(v) for v in rng.integers(3, 30, 2))
+        if case % 4 == 0:
+            model = white_noise((h, w), float(rng.uniform(0.5, 3.0)))
+        else:
+            model = finite_support_model(rng, h, w)
+        anchor = (int(rng.integers(-9, 3)), int(rng.integers(-9, 3)))
+        yield model, PatchDomain(anchor=anchor, side=int(rng.integers(1, 7)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_far_offsets_copy_one_law_bit_for_bit(seed):
+    """Far offsets share the first one's law, bitwise equal to the table
+    that evaluates each of them, and the table keeps the loop's contract,
+    with stride and random masks."""
+    rng = np.random.default_rng(4100 + seed)
+    seen = set()
+    for model, patch in far_cases(seed):
+        (h, w), p = model.shape, patch.side
+        far, r = far_offsets(model, p)
+        seen.add((model.kind, far.any(), r > 0))
+        for mask in (None, stride_mask((h, w), int(rng.integers(2, 4))), rng.random((h, w)) < 0.5):
+            table = offset_laws(model, patch, mask=mask)
+            assert_bitwise(table, engine_offset_laws(model, patch, mask=mask))
+            sel = far if mask is None else far & mask
+            for values in (table.kind, table.p0, table.p1, table.scale):
+                assert np.all(values[sel] == values[sel][:1])
+        if h * w <= 150 and p <= 4:
+            assert_table_matches_loop(model, patch, stride_mask((h, w), 2))
+    assert {("white-noise", False, False), ("white-noise", True, False)} <= seen
+    assert {("exemplar", False), ("exemplar", True)} <= {(k, f) for k, f, r in seen if r}
+
+
+def test_far_offsets_share_one_engine_evaluation(monkeypatch):
+    """White noise at 128², p = 8: the 113 non-far offsets left by the
+    mirror copy (15² around the origin) and one far offset.  An exemplar
+    has full support and evaluates half of the torus, as before."""
+    calls = engine_calls(monkeypatch)
+    patch = PatchDomain(side=8)
+    offset_laws(white_noise((128, 128), std=2.0), patch)
+    offset_laws(from_exemplar(np.random.default_rng(19).standard_normal((128, 128))), patch)
+    assert [len(offsets) for offsets, _ in calls] == [114, 8194]
+
+
 # ---------------------------------------------------------------- errors
 
 
@@ -344,13 +430,35 @@ def bad_model(rng, h, w):
     return MicrotextureModel(kernel=np.zeros((h, w)), gamma=g, kind="exemplar")
 
 
-def check_first_failing_offset_raises():
+def bad_finite_model(rng, p):
+    """A non positive semi-definite 'autocorrelation' of exact finite
+    support, radii up to 2, on a torus large enough for far offsets.  It
+    is negative off the origin, so every ``delta(t, 0)`` is positive and
+    the far offsets' ``2 Gamma`` often has a badly negative ``tr C^3``."""
+    rx, ry = (int(v) for v in rng.integers(0, 3, 2))
+    h, w = (2 * (p + r) + int(rng.integers(0, 3)) for r in (ry, rx))
+    g = np.zeros((h, w))
+    support = np.ix_(np.arange(-ry, ry + 1) % h, np.arange(-rx, rx + 1) % w)
+    g[support] = -np.abs(rng.standard_normal((2 * ry + 1, 2 * rx + 1)))
+    g = 0.5 * (g + g[(-np.arange(h)) % h][:, (-np.arange(w)) % w])
+    g[0, 0] = abs(g[0, 0])
+    return MicrotextureModel(kernel=np.zeros((h, w)), gamma=g, kind="exemplar")
+
+
+def bad_cases():
     rng = np.random.default_rng(15)
-    kinds = set()
     for _ in range(30):
         h, w = (int(v) for v in rng.integers(4, 9, 2))
-        model = bad_model(rng, h, w)
-        patch = PatchDomain(side=int(rng.integers(1, 4)))
+        yield bad_model(rng, h, w), PatchDomain(side=int(rng.integers(1, 4)))
+    for _ in range(30):
+        p = int(rng.integers(2, 4))
+        yield bad_finite_model(rng, p), PatchDomain(side=p)
+
+
+def check_first_failing_offset_raises():
+    kinds = set()
+    from_far = 0
+    for model, patch in bad_cases():
         got = raised(lambda: offset_laws(model, patch))
         want = raised(lambda: loop_offset_laws(model, patch))
         assert (got is None) == (want is None)
@@ -362,7 +470,11 @@ def check_first_failing_offset_raises():
         else:
             assert got.startswith("tr C^3")
             assert math.isclose(reported(got), reported(want), rel_tol=1e-9)
+        h, w = model.shape
+        if far_offsets(model, patch.side)[0].any():
+            from_far += got == raised(lambda: cumulants(model, (w // 2, h // 2), patch))
     assert kinds == {"delta(t,0)", "tr C^3"}
+    assert from_far >= 2  # tables whose first failing offset is far
 
 
 def test_table_raises_the_error_of_the_first_failing_offset(monkeypatch):
