@@ -16,7 +16,6 @@ from .background import (
     from_exemplar,
     sample,
     white_noise,
-    white_noise_law,
 )
 from .denoise import (
     DenoiseConfig,

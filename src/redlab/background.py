@@ -22,12 +22,8 @@ so the sum visits one x-triple per orbit, weighted by the orbit size
 (1, 6 or 12).  Each orbit class contracts as ``sum(K_s * m * H_s)``:
 ``K_s`` a weighted sum of outer products of ``delta`` rows (one batched
 matrix product), ``m`` the y-triple count and ``H_s`` a Hankel view of
-one row.
-
-Every law goes through :func:`cumulants`, the plane white-noise law of
-:func:`white_noise_law` included: it is the torus law on a torus too
-large to wrap.  The tests check the engine against the dense traces of
-``C_t`` and the closed-form white-noise spectrum.
+one row.  The tests check the engine against the dense traces of ``C_t``
+and the closed-form white-noise spectrum.
 """
 
 from __future__ import annotations
@@ -50,7 +46,6 @@ __all__ = [
     "from_exemplar",
     "sample",
     "white_noise",
-    "white_noise_law",
 ]
 
 # Entries per stacked array in the cumulant engine (512 KiB of float64): a
@@ -265,23 +260,6 @@ def cumulants(model: MicrotextureModel, t, patch: PatchDomain) -> QuadFormLaw:
     if single:
         return QuadFormLaw(k1=float(k1[0]), k2=float(k2[0]), k3=float(k3[0]))
     return QuadFormLaw(k1=k1, k2=k2, k3=k3)
-
-
-def white_noise_law(p: int, t) -> QuadFormLaw:
-    """Auto-similarity law under unit white noise on the plane, for a
-    square ``p x p`` patch.
-
-    ``t`` is one offset or an ``(m, 2)`` array of offsets, as in
-    :func:`cumulants`.  The law depends on ``|tx|`` and ``|ty|`` only, and
-    not at all once the offset clears the patch, so each is clipped at
-    ``p``.  On the white-noise torus of side ``p + max|t|``, every
-    component of ``x``, ``x + t`` and ``x - t`` is smaller than the side in
-    absolute value for each patch difference ``x``, so nothing wraps: the
-    torus law that the engine evaluates is the plane law.
-    """
-    offsets = np.minimum(np.abs(np.asarray(t, dtype=np.int64)), p)
-    side = p + int(offsets.max(initial=0))
-    return cumulants(white_noise((side, side)), offsets, PatchDomain(side=p))
 
 
 def sample(model: MicrotextureModel, seed_or_rng) -> np.ndarray:

@@ -4,9 +4,9 @@ A noisy patch is denoised by averaging, over a bounded search window, the
 patches whose squared distance to it stays below a per-offset threshold.
 Thresholds are upper quantiles of the distance law under unit white noise
 scaled by the noise variance, so the expected number of *rejected* patches
-in pure noise is controlled; each call computes them afresh from one law
-per window offset.  The classical exponentially-weighted NL-means is
-provided for comparison, along with PSNR.
+in pure noise is controlled; they come from one white-noise law table,
+:func:`~redlab.detect.offset_laws`.  The classical exponentially-weighted
+NL-means is provided for comparison, along with PSNR.
 
 Unlike detection, denoising never wraps patches: only windows fully inside
 the image take part, and the final pixel estimate averages the available
@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .background import white_noise_law
-from .quadform import fit, quantile
+from .background import white_noise
+from .detect import offset_laws
+from .grid import PatchDomain
 
 __all__ = [
     "DenoiseConfig",
@@ -88,9 +89,11 @@ def nlmeans_a_priori_threshold(
     (zero at the origin, which is always selected) and the mean threshold
     over the nonzero offsets, 0 when ``c = 0`` leaves none.  Thresholds
     are the quantiles of each offset's law at level ``1 - nfa_max / |T|``:
-    infinite at ``nfa_max = 0`` and zero at ``nfa_max = |T|``.  Offsets
-    with equal sorted component magnitudes have bitwise equal laws, which
-    :func:`~redlab.quadform.quantile` searches once.
+    infinite at ``nfa_max = 0`` and zero at ``nfa_max = |T|``.  The laws
+    are one :func:`~redlab.detect.offset_laws` table, masked to the window,
+    on the white torus of side ``max(p + c, 2c + 1)``: no component of
+    ``a`` or ``a +- t`` reaches the side for ``|a| < p`` and ``|t| <= c``,
+    so each law is the plane's, and the window offsets take distinct cells.
     """
     n_t = (2 * c + 1) ** 2
     if not 0 <= nfa_max <= n_t:
@@ -101,9 +104,12 @@ def nlmeans_a_priori_threshold(
         a_map = np.full((2 * c + 1, 2 * c + 1), np.inf)
         a_map[c, c] = 0.0
     else:
-        ty, tx = np.mgrid[-c : c + 1, -c : c + 1]
-        law = white_noise_law(p, np.stack([tx.ravel(), ty.ravel()], axis=1))
-        a_map = quantile(fit(law), 1.0 - nfa_max / n_t).reshape(2 * c + 1, 2 * c + 1)
+        side = max(p + c, 2 * c + 1)
+        ty, tx = np.mgrid[-c : c + 1, -c : c + 1] % side
+        window = np.zeros((side, side), dtype=bool)
+        window[ty, tx] = True
+        laws = offset_laws(white_noise((side, side)), PatchDomain(side=p), mask=window)
+        a_map = laws.quantile_map(1.0 - nfa_max / n_t)[ty, tx]  # copies the read-only map
     mean_a = float(a_map.sum() / (n_t - 1)) if n_t > 1 else 0.0
     return a_map, mean_a
 

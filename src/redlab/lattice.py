@@ -150,11 +150,12 @@ def q_energy(basis, coeffs, edge_vectors, delta_b: float, delta_m: float) -> flo
     coeffs = np.asarray(coeffs, dtype=np.float64)
     e = np.asarray(edge_vectors, dtype=np.float64)
     resid = coeffs @ basis - e
-    return float(
-        np.sum(resid * resid)
-        + delta_b * np.sum(basis * basis)
-        + delta_m * np.sum(coeffs * coeffs)
-    )
+    with np.errstate(over="ignore"):  # an infinite energy, reported downstream
+        return float(
+            np.sum(resid * resid)
+            + delta_b * np.sum(basis * basis)
+            + delta_m * np.sum(coeffs * coeffs)
+        )
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
-from redlab.background import cumulants, from_exemplar, white_noise_law
+from redlab.background import cumulants, from_exemplar, white_noise
 from redlab.denoise import nlmeans_a_priori_threshold
 from redlab.detect import offset_laws
 from redlab.grid import PatchDomain, as_map
@@ -455,7 +455,8 @@ def class_table_threshold(p: int, c: int, nfa_max: float) -> tuple[np.ndarray, f
     """NL-means white-noise thresholds from one law per class of offsets
     with equal sorted component magnitudes ``(min|t|, max|t|)``, spread
     back over the ``(2c+1, 2c+1)`` window; zeros at ``nfa_max == |T|`` and
-    infinite thresholds off the origin at ``nfa_max == 0``."""
+    infinite thresholds off the origin at ``nfa_max == 0``.  The laws are
+    the engine's on a white torus of side ``p + c``, too large to wrap."""
     n_t = (2 * c + 1) ** 2
     if nfa_max == n_t:
         a_map = np.zeros((2 * c + 1, 2 * c + 1))
@@ -466,7 +467,8 @@ def class_table_threshold(p: int, c: int, nfa_max: float) -> tuple[np.ndarray, f
         ty, tx = np.abs(np.mgrid[-c : c + 1, -c : c + 1])
         pairs = np.stack([np.minimum(tx, ty).ravel(), np.maximum(tx, ty).ravel()], axis=1)
         classes, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        per_class = quantile(fit(white_noise_law(p, classes)), 1.0 - nfa_max / n_t)
+        laws = cumulants(white_noise((p + c, p + c)), classes, PatchDomain(side=p))
+        per_class = quantile(fit(laws), 1.0 - nfa_max / n_t)
         a_map = per_class[inverse.ravel()].reshape(2 * c + 1, 2 * c + 1)
     mean_a = float(a_map.sum() / (n_t - 1)) if n_t > 1 else 0.0
     return a_map, mean_a

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from oracles import (
@@ -15,7 +13,6 @@ from redlab.background import (
     from_exemplar,
     sample,
     white_noise,
-    white_noise_law,
 )
 from redlab.grid import PatchDomain
 from redlab.quadform import QuadFormLaw
@@ -264,7 +261,7 @@ def test_white_eigenvalue_multiplicity_properties():
 
 
 def test_white_noise_law_axis_offset_matches_dense():
-    law = white_noise_law(6, (2, 0))
+    law = cumulants(white_noise((8, 8)), (2, 0), PatchDomain(side=6))  # no wrap
     ref = law_from_matrix(white_noise_covariance(6, (2, 0)))
     assert law.k1 == pytest.approx(ref.k1, rel=1e-10)
     assert law.k2 == pytest.approx(ref.k2, rel=1e-10)
@@ -289,29 +286,18 @@ def _white_noise_oracle(p: int, t) -> QuadFormLaw:
 
 @pytest.mark.parametrize("p", [*range(1, 11), 16, 20])
 def test_white_noise_law_matches_oracles(p):
+    # On a torus of side p + 12 no offset |t| <= 12 wraps: the plane law.
+    plane, patch = white_noise((p + 12, p + 12)), PatchDomain(side=p)
     offsets = [(tx, ty) for ty in range(-12, 13) for tx in range(-12, 13)]
     oracle = [_white_noise_oracle(p, t) for t in offsets]
     want = np.array([(law.k1, law.k2, law.k3) for law in oracle])
-    batch = white_noise_law(p, np.array(offsets))
+    batch = cumulants(plane, np.array(offsets), patch)
     got = np.stack([batch.k1, batch.k2, batch.k3], axis=1)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     for t, ref in zip(offsets, want):
-        law = white_noise_law(p, t)
+        law = cumulants(plane, t, patch)
         assert isinstance(law.k1, float)
         np.testing.assert_allclose([law.k1, law.k2, law.k3], ref, rtol=1e-12, atol=0.0)
-
-
-def test_white_noise_law_far_offsets_stay_small():
-    # Offsets past the patch all share the non-overlap law; the torus the
-    # engine runs on does not grow with them.
-    tracemalloc.start()
-    try:
-        law = white_noise_law(4, np.array([(4000, 1), (-2, 9000), (5, -5)]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-    np.testing.assert_array_equal(np.stack([law.k1, law.k2, law.k3]).T, [[32.0, 128.0, 1024.0]] * 3)
 
 
 # ----------------------------------------------------------------- sampling
@@ -355,7 +341,7 @@ def test_sample_autocovariance_matches_gamma():
 def test_as_statistic_moments_match_cumulants_montecarlo():
     # 1e6 draws of the statistic under white noise, p=8, t=(3,2)
     p, t = 8, (3, 2)
-    law = white_noise_law(p, t)
+    law = cumulants(white_noise((11, 11)), t, PatchDomain(side=p))  # no wrap
     rng = np.random.default_rng(12)
     n_total = 1_000_000
     chunk = 100_000

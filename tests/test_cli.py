@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -558,12 +559,23 @@ def test_nan_in_a_json_output_exits_3(tmp_path, capsys, monkeypatch, stripe_imag
 
     monkeypatch.setattr(redlab.denoise, "psnr", lambda ref, est: float("nan"))
     path, _ = stripe_image
+    board_image(tmp_path / "board.pgm")
+    runs = [
+        (["denoise", str(path), "--sigma", "5", "--p", "4", "--c", "2", "--clean", str(path)],
+         "report.json"),
+        # The lattice energy overflows to inf, so the fit's log-posterior is NaN.
+        (["lattice", str(tmp_path / "board.pgm"), "--patch", "0,0,4", "--dB", "1e308",
+          "--dM", "1e308"], "fit.json"),
+    ]  # fmt: skip
     out = tmp_path / "out"
-    argv = ["denoise", str(path), "--sigma", "5", "--p", "4", "--c", "2", "--clean", str(path),
-            "--out", str(out)]
-    assert main(argv) == 3
-    assert "NaN in report.json" in capsys.readouterr().err
-    assert not out.exists()
+    for argv, name in runs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"NaN in {name}" in err
+        assert "Warning" not in err and "Traceback" not in err and caught == []
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

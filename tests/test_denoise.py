@@ -53,10 +53,36 @@ def test_window_size_and_shape():
     assert mean_a > 0
 
 
+@pytest.mark.parametrize("p, c", [(1, 3), (3, 7), (8, 10), (12, 15)])
+def test_threshold_map_dihedral_symmetry_bit_for_bit(p, c):
+    # White-noise cumulants are sums of small integers, so the engine's
+    # x-orbit sum and y-Hankel view, asymmetric in form, give equal bits.
+    a_map, _ = nlmeans_a_priori_threshold(p, c, 4.41)
+    for image in (a_map.T, a_map[::-1], a_map[:, ::-1]):
+        assert np.array_equal(a_map, image)
+
+
+def test_thresholds_come_from_one_law_table_call(monkeypatch):
+    # One engine call: one law per +-t pair of the 15 x 15 offsets that
+    # overlap the patch, (15 * 15 + 1) / 2 = 113, and one for all the rest.
+    import redlab.detect
+
+    rows = []
+    engine = redlab.detect.cumulants
+
+    def counted(model, t, patch):
+        rows.append(len(t))
+        return engine(model, t, patch)
+
+    monkeypatch.setattr(redlab.detect, "cumulants", counted)
+    nlmeans_a_priori_threshold(8, 10, 4.41)
+    assert rows == [114]
+
+
 def test_threshold_symmetry_and_plateau():
     a_map, _ = nlmeans_a_priori_threshold(8, 10, 4.41)
     c = 10
-    assert np.allclose(a_map, a_map[::-1, ::-1])  # a(t) == a(-t)
+    assert np.array_equal(a_map, a_map[::-1, ::-1])  # a(t) == a(-t)
     # constant once the offset clears the patch
     faraway = [a_map[c + ty, c + tx] for tx, ty in [(8, 0), (9, 3), (10, 10), (0, 9)]]
     assert np.allclose(faraway, faraway[0], rtol=1e-9)

@@ -27,7 +27,7 @@ from oracles import (
 )
 
 from redlab import quadform
-from redlab.background import from_exemplar, white_noise, white_noise_law
+from redlab.background import cumulants, from_exemplar, white_noise
 from redlab.denoise import nlmeans_a_priori_threshold
 from redlab.detect import OffsetLawTable, offset_laws, stride_mask
 from redlab.grid import PatchDomain, as_map
@@ -163,9 +163,10 @@ def test_a_priori_thresholds_match_per_class_loop():
     for p, c, nfa in ((8, 10, 4.41), (5, 4, 2.0), (1, 2, 0.5)):
         a_map, _ = nlmeans_a_priori_threshold(p, c, nfa)
         q = 1.0 - nfa / (2 * c + 1) ** 2
+        plane = white_noise((p + c, p + c))  # too large to wrap
         for ty in range(-c, c + 1):
             for tx in range(-c, c + 1):
-                law = white_noise_law(p, (tx, ty))
+                law = cumulants(plane, (tx, ty), PatchDomain(side=p))
                 want = scalar_quantile(old_fit(law.k1, law.k2, law.k3), q)
                 assert abs(a_map[ty + c, tx + c] - want) <= 1e-10 * want
 
@@ -227,7 +228,8 @@ def test_denoise_class_thresholds_match_full_bisection():
         ty, tx = np.abs(np.mgrid[-c : c + 1, -c : c + 1])
         pairs = np.stack([np.minimum(tx, ty).ravel(), np.maximum(tx, ty).ravel()], axis=1)
         classes, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        want = bisect_quantile(fit(white_noise_law(p, classes)), 1.0 - nfa / (2 * c + 1) ** 2)
+        laws = cumulants(white_noise((p + c, p + c)), classes, PatchDomain(side=p))
+        want = bisect_quantile(fit(laws), 1.0 - nfa / (2 * c + 1) ** 2)
         assert np.array_equal(a_map, want[inverse.ravel()].reshape(a_map.shape))
 
 

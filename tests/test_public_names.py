@@ -57,6 +57,7 @@ def test_law_table_exposes_its_map_methods_and_fields():
         ("denoise", "reconstruction_bound"),
         ("grid", "centered_coords"),
         ("background", "COV_SIDE_CAP"),
+        ("background", "white_noise_law"),
     ],
 )
 def test_test_only_oracles_live_under_tests(module, name):
