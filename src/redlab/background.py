@@ -62,11 +62,20 @@ _DEGENERATE_REL = 1e-12
 
 @dataclass(frozen=True)
 class MicrotextureModel:
-    """Convolution kernel, its cached autocorrelation and a kind tag."""
+    """Convolution kernel, its cached autocorrelation and a kind tag.
+
+    ``gamma`` must be exactly even, ``gamma(z) = gamma(-z)`` bit for bit,
+    as :func:`white_noise` and :func:`from_exemplar` build it: the
+    cumulant engine reads ``Gamma(a - t)`` as ``Gamma(t - a)``.
+    """
 
     kernel: np.ndarray
     gamma: np.ndarray
     kind: str  # "white-noise" | "exemplar"
+
+    def __post_init__(self):
+        if not np.array_equal(self.gamma, _mirrored(self.gamma), equal_nan=True):
+            raise ValueError("gamma must be even: gamma(z) == gamma(-z) bit for bit")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -86,11 +95,16 @@ def white_noise(shape: tuple[int, int], std: float = 1.0) -> MicrotextureModel:
     return MicrotextureModel(kernel=kernel, gamma=gamma, kind="white-noise")
 
 
+def _mirrored(g: np.ndarray) -> np.ndarray:
+    """``g(-z)`` on the torus."""
+    h, w = g.shape
+    return g[(-np.arange(h)) % h][:, (-np.arange(w)) % w]
+
+
 def _symmetrized(g: np.ndarray) -> np.ndarray:
     """Enforce the exact even symmetry ``g(z) = g(-z)`` (true for any
     autocorrelation; FFT round-off breaks it at the 1e-16 level)."""
-    h, w = g.shape
-    return 0.5 * (g + g[(-np.arange(h)) % h][:, (-np.arange(w)) % w])
+    return 0.5 * (g + _mirrored(g))
 
 
 def from_exemplar(u) -> MicrotextureModel:
@@ -106,20 +120,21 @@ def from_exemplar(u) -> MicrotextureModel:
     return MicrotextureModel(kernel=kernel, gamma=gamma, kind="exemplar")
 
 
-def _delta_tables(g, tx, ty, d0, dx, dy) -> np.ndarray:
-    """``delta(t, .)`` at the coordinate differences ``(dx, dy)`` (two
-    broadcastable integer arrays) for each offset ``(tx[i], ty[i])``.
+def _delta_tables(windows, tx, ty, d0) -> np.ndarray:
+    """``delta(t, .)`` at the patch differences for each offset ``(tx[i],
+    ty[i])``, indexed ``[i, ax + p - 1, ay + p - 1]``.
 
-    Returns an array of shape ``(len(tx),) + broadcast shape``.  Entries
-    at differences that vanish on the torus hold the clamped ``d0``.
+    ``windows[tx, ty]`` is the ``(2p - 1)^2`` window of the periodic
+    ``Gamma`` holding ``Gamma(a + t)`` at ``[ax + p - 1, ay + p - 1]``;
+    ``Gamma`` is even, so the same window reversed holds ``Gamma(a - t)``.
+    Entries at differences that vanish on the torus hold the clamped ``d0``.
     """
-    h, w = g.shape
-    tx = tx.reshape((-1,) + (1,) * dx.ndim)
-    ty = ty.reshape((-1,) + (1,) * dy.ndim)
-    out = 2.0 * g[dy % h, dx % w] - g[(dy + ty) % h, (dx + tx) % w]
-    out -= g[(dy - ty) % h, (dx - tx) % w]
-    zero = np.broadcast_to((dx % w == 0) & (dy % h == 0), out.shape[1:])
-    out[:, zero] = d0[:, None]
+    w, h, side = windows.shape[:3]
+    shifted = windows[tx, ty]
+    out = 2.0 * windows[0, 0] - shifted
+    out -= shifted[:, ::-1, ::-1]
+    a = np.arange(side) - side // 2
+    out[:, (a % w == 0)[:, None] & (a % h == 0)] = d0[:, None]
     return out
 
 
@@ -221,11 +236,12 @@ def cumulants(model: MicrotextureModel, t, patch: PatchDomain) -> QuadFormLaw:
     offsets = offsets.reshape(-1, 2)
     n = patch.size()
     p = patch.side
-    dx = np.arange(1 - p, p)[:, None]
-    dy = np.arange(1 - p, p)[None, :]
     traces = partial(_square_traces, p=p, m=_axis_triples(p), orbits=_orbits(p))
     g = model.gamma
     h, w = g.shape
+    # C order, as the traces' sums run in an order that follows the strides.
+    padded = np.pad(np.ascontiguousarray(g.T), p - 1, mode="wrap")
+    windows = sliding_window_view(padded, (2 * p - 1, 2 * p - 1))
     tx, ty = offsets[:, 0] % w, offsets[:, 1] % h
     d0 = 2.0 * (g[0, 0] - g[ty, tx])
     bad = d0 < -1e-10 * max(1.0, abs(g[0, 0]))
@@ -240,7 +256,7 @@ def cumulants(model: MicrotextureModel, t, patch: PatchDomain) -> QuadFormLaw:
     chunks = [live[start : start + step] for start in range(0, live.size, step)]
 
     def chunk_traces(sel):
-        return traces(_delta_tables(g, tx[sel], ty[sel], d0_clamped[sel], dx, dy))
+        return traces(_delta_tables(windows, tx[sel], ty[sel], d0_clamped[sel]))
 
     workers = min(2, os.cpu_count() or 1, len(chunks))
     if workers > 1:

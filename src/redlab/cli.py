@@ -8,7 +8,9 @@ Output contract, the same for every run.  Commands turn the library's
 arrays into outputs (JSON text, or an image writer) and write nothing:
 
 * ``main`` encodes all JSON and the manifest, then creates ``--out`` and
-  writes, so a run that fails before its writes leaves no directory;
+  writes, so a run that fails before its writes leaves no directory; a
+  write that fails removes the files the run wrote, and ``--out`` if the
+  run created it;
 * ``manifest.json`` (schema 2) records each option under its own name,
   the images ``rank`` read and the files written; rerunning with the
   same parameters reproduces every output byte for byte;
@@ -27,6 +29,7 @@ for memory, 3 numerical failure (a non-finite result included).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -369,6 +372,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_all(outdir: Path, outputs) -> None:
+    """Write each output into ``outdir``, created as needed.  If a write
+    fails, remove the files this run wrote (the failing one too, unless it
+    was there before) and the directories it created, then re-raise."""
+    created = [d for d in (outdir, *outdir.parents) if not d.exists()]
+    outdir.mkdir(parents=True, exist_ok=True)
+    written = []
+    try:
+        for _, name, content in outputs:
+            path = outdir / name
+            if not path.exists():  # a file this run begins goes, even half written
+                written.append(path)
+            if callable(content):
+                content(path)
+            else:
+                path.write_text(content)
+            written.append(path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the write's error is the one to report
+            for path in written:
+                path.unlink(missing_ok=True)
+            for d in created:  # innermost first
+                d.rmdir()
+        raise
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -384,12 +413,7 @@ def main(argv=None) -> int:
             "outputs": {key: str(outdir / name) for key, name, _ in outputs},
         }
         outputs.append(("manifest", "manifest.json", _json(manifest, "manifest.json")))
-        outdir.mkdir(parents=True, exist_ok=True)
-        for _, name, content in outputs:
-            if callable(content):
-                content(outdir / name)
-            else:
-                (outdir / name).write_text(content)
+        _write_all(outdir, outputs)
         return 0
     # LinAlgError subclasses ValueError, so numerical failures go first.
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

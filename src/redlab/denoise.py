@@ -189,16 +189,23 @@ def nlmeans_threshold(u, cfg: DenoiseConfig) -> DenoiseReport:
     s2 = cfg.sigma**2
 
     n_anchors = (h - p + 1, w - p + 1)
-    counts = np.zeros(n_anchors)
-    accepted = {}
+    counts = np.zeros(n_anchors, dtype=np.int64)
+    accepted = {}  # one packed bit per anchor and offset
     for d, place in _pair_distances(u, p, c):
         for (tx, ty), anchors in place.items():
             acc = np.zeros(n_anchors, dtype=bool)
             acc[anchors] = True if tx == ty == 0 else d <= s2 * applied[ty + c, tx + c]
             counts += acc
-            accepted[tx, ty] = acc
-    # Row-major offset order; one float weight map is alive at a time.
-    weights = ((*t, accepted[t] / counts) for t in _offsets(c) if t in accepted)
+            accepted[tx, ty] = np.packbits(acc)
+    counts = counts.astype(np.float64)
+    inv = 1.0 / counts
+    # Row-major offset order; one float weight map is alive at a time.  With
+    # bits in {0, 1}, bits * (1 / counts) is bitwise acc / counts.
+    weights = (
+        (*t, np.unpackbits(accepted[t], count=inv.size).reshape(n_anchors) * inv)
+        for t in _offsets(c)
+        if t in accepted
+    )
     denoised = _aggregate(u, p, weights)
     return DenoiseReport(
         denoised=denoised,

@@ -41,10 +41,12 @@ class OffsetLawTable(WoodFParams):
     ``(h, w)`` fields are indexed like an offset map, so its maps evaluate
     through :func:`~redlab.quadform.cdf` and
     :func:`~redlab.quadform.quantile`; the table only applies ``mask`` and
-    keeps each quantile map it has computed.
+    keeps each quantile map it has computed.  ``evaluated`` is the number
+    of offsets the cumulant engine evaluated; the others copy their law.
     """
 
     mask: np.ndarray | None = None
+    evaluated: int = 0
     _quantiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def fallback_counts(self) -> dict:
@@ -144,6 +146,7 @@ def offset_laws(
         p1=spread(params.p1),
         scale=spread(params.scale),
         mask=mask,
+        evaluated=len(xs),
     )
 
 

@@ -121,23 +121,26 @@ def build_graph(d_map: np.ndarray, as_values: np.ndarray) -> DetectionGraph:
 def nearest_neighbor_edges(vertices) -> tuple[np.ndarray, np.ndarray]:
     """Link every vertex to its (up to) four nearest neighbors.
 
-    Ties break on coordinates for determinism; the undirected union is
-    deduplicated.  Returns index pairs (i < j) and canonically oriented
+    Ties break on coordinates, then on the index, for determinism; the
+    undirected union is deduplicated.  Each vertex's neighbors are the
+    head of one lexsort of its row of squared distances, taken a block of
+    rows at a time.  Returns index pairs (i < j) and canonically oriented
     edge vectors.
     """
     v = np.asarray(vertices, dtype=np.float64)
     n = len(v)
-    edge_set: set[tuple[int, int]] = set()
-    for i in range(n):
-        d2 = np.sum((v - v[i]) ** 2, axis=1)
-        order = sorted(
-            (float(d2[j]), float(v[j, 0]), float(v[j, 1]), j)
-            for j in range(n)
-            if j != i
-        )
-        for _, _, _, j in order[:4]:
-            edge_set.add((min(i, j), max(i, j)))
-    edges = np.asarray(sorted(edge_set), dtype=np.int64)
+    near = np.empty((n, max(0, min(4, n - 1))), dtype=np.int64)
+    step = max(1, 2**18 // max(n, 1))  # rows of squared distances at a time
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(n, lo + step))
+        dx, dy = (v[:, a] - v[rows, a, None] for a in (0, 1))
+        d2 = dx * dx + dy * dy
+        d2[rows - lo, rows] = np.inf
+        x, y = (np.broadcast_to(col, d2.shape) for col in v.T)
+        near[rows] = np.lexsort((y, x, d2), axis=-1)[:, : near.shape[1]]
+    i, j = np.repeat(np.arange(n), near.shape[1]), near.ravel()
+    pairs = np.unique(np.minimum(i, j) * n + np.maximum(i, j))  # sorted by (i, j)
+    edges = np.stack(np.divmod(pairs, max(n, 1)), axis=1)
     vec = (v[edges[:, 1]] - v[edges[:, 0]]).astype(np.float64)
     flip = (vec[:, 0] < 0) | ((vec[:, 0] == 0) & (vec[:, 1] < 0))
     vec[flip] *= -1.0

@@ -10,7 +10,8 @@ table that sends every offset but the mirror copies through the engine
 (before far offsets shared one law), the scalar law CDF and quantile
 with the vectorised table copies they once had, the NL-means
 thresholds from one law per class of equal offsets, the direct
-auto-similarity of one offset and the loop map built from it, and the
+auto-similarity of one offset and the loop map built from it, the
+nearest-neighbor edges from one tuple sort per vertex, and the
 NL-means loop that computes every offset's patch distances on its own,
 through freshly padded integral images.
 Independent references live here too: the law of an explicit spectrum,
@@ -507,6 +508,28 @@ def _torus_components(d_map: np.ndarray) -> list[np.ndarray]:
     for k in range(len(cells)):
         groups.setdefault(find(k), []).append(k)
     return [cells[g] for g in groups.values()]
+
+
+def loop_nearest_neighbor_edges(vertices) -> tuple[np.ndarray, np.ndarray]:
+    """Four-nearest-neighbor edges from one sort of ``(d^2, x, y, j)``
+    tuples per vertex, their union deduplicated in a set."""
+    v = np.asarray(vertices, dtype=np.float64)
+    n = len(v)
+    edge_set: set[tuple[int, int]] = set()
+    for i in range(n):
+        d2 = np.sum((v - v[i]) ** 2, axis=1)
+        order = sorted(
+            (float(d2[j]), float(v[j, 0]), float(v[j, 1]), j)
+            for j in range(n)
+            if j != i
+        )
+        for _, _, _, j in order[:4]:
+            edge_set.add((min(i, j), max(i, j)))
+    edges = np.asarray(sorted(edge_set), dtype=np.int64)
+    vec = (v[edges[:, 1]] - v[edges[:, 0]]).astype(np.float64)
+    flip = (vec[:, 0] < 0) | ((vec[:, 0] == 0) & (vec[:, 1] < 0))
+    vec[flip] *= -1.0
+    return edges, vec
 
 
 def grid_build_graph(d_map, as_values) -> DetectionGraph:

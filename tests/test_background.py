@@ -9,6 +9,7 @@ from oracles import (
 )
 
 from redlab.background import (
+    MicrotextureModel,
     cumulants,
     from_exemplar,
     sample,
@@ -32,6 +33,17 @@ def test_constant_exemplar_is_degenerate():
     assert model.degenerate
     assert np.allclose(model.kernel, 0.0)
     assert np.allclose(model.gamma, 0.0)
+
+
+def test_model_rejects_an_uneven_gamma():
+    # The engine reads Gamma(a - t) as Gamma(t - a), so evenness is exact.
+    rng = np.random.default_rng(4)
+    model = from_exemplar(rng.standard_normal((6, 7)))
+    gamma = model.gamma.copy()
+    gamma[1, 2] = np.nextafter(gamma[1, 2], np.inf)  # its mirror (5, 5) unchanged
+    with pytest.raises(ValueError, match="even"):
+        MicrotextureModel(kernel=model.kernel, gamma=gamma, kind="exemplar")
+    MicrotextureModel(kernel=model.kernel, gamma=model.gamma, kind="exemplar")
 
 
 def test_exemplar_variance_at_origin():

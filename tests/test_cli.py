@@ -606,6 +606,34 @@ def test_nan_in_the_manifest_exits_3_and_writes_nothing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh-out", "existing-out"])
+def test_failed_write_leaves_nothing_of_the_run(tmp_path, capsys, monkeypatch, stripe_image, existing):
+    # D_map.pgm is the second output: P_map.pfm is written before it fails.
+    import redlab.imgio
+
+    def full(path, image, maxval=255):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(redlab.imgio, "write_pgm", full)
+    path, _ = stripe_image
+    out = tmp_path / "out"
+    before = {}
+    if existing:
+        out.mkdir()
+        (out / "keep.txt").write_text("kept\n")
+        (out / "D_map.pgm").write_bytes(b"old")  # the failing write's target
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+    target = out / "nested" if not existing else out
+    argv = ["detect", str(path), "--patch", "2,2,4", "--model", "white", "--out", str(target)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "D_map.pgm" in err and "Traceback" not in err
+    if existing:
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    else:
+        assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

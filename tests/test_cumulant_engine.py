@@ -406,6 +406,19 @@ def test_far_offsets_share_one_engine_evaluation(monkeypatch):
     assert [len(offsets) for offsets, _ in calls] == [114, 8194]
 
 
+def test_table_records_its_engine_rows(monkeypatch):
+    """The table's ``evaluated`` is the number of rows its one engine call
+    received, masked or not."""
+    calls = engine_calls(monkeypatch)
+    patch = PatchDomain(side=8)
+    white = offset_laws(white_noise((128, 128), std=2.0), patch)
+    exemplar = from_exemplar(np.random.default_rng(19).standard_normal((128, 128)))
+    full = offset_laws(exemplar, patch)
+    strided = offset_laws(exemplar, patch, mask=stride_mask((128, 128), 4))
+    assert (white.evaluated, full.evaluated) == (114, 8194)
+    assert [t.evaluated for t in (white, full, strided)] == [len(o) for o, _ in calls]
+
+
 # ---------------------------------------------------------------- errors
 
 

@@ -79,6 +79,21 @@ def test_thresholds_come_from_one_law_table_call(monkeypatch):
     assert rows == [114]
 
 
+def test_threshold_table_records_its_engine_rows(monkeypatch):
+    import redlab.denoise
+
+    tables = []
+    build = redlab.denoise.offset_laws
+
+    def kept(*args, **kwargs):
+        tables.append(build(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(redlab.denoise, "offset_laws", kept)
+    nlmeans_a_priori_threshold(8, 10, 4.41)
+    assert [t.evaluated for t in tables] == [114]
+
+
 def test_threshold_symmetry_and_plateau():
     a_map, _ = nlmeans_a_priori_threshold(8, 10, 4.41)
     c = 10
@@ -196,6 +211,22 @@ def test_weight_maps_are_not_held_at_once():
     finally:
         tracemalloc.stop()
     assert peak < 25 * 2**20
+
+
+@pytest.mark.parametrize("mode", ["constant-mean", "per-offset"])
+def test_selections_are_kept_as_bits(mode):
+    # 441 boolean maps of 121^2 anchors take 6.2 MiB; packed to one bit per
+    # anchor they take 0.8 MiB, beside one float weight map and the buffers.
+    rng = np.random.default_rng(13)
+    u = np.round(128.0 + 40.0 * rng.standard_normal((128, 128)))
+    cfg = DenoiseConfig(sigma=20.0, patch_side=8, search_radius=10, threshold_mode=mode)
+    tracemalloc.start()
+    try:
+        nlmeans_threshold(u, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_classic_weight_maps_are_normalized_one_at_a_time():

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import anchor_loop_scores, grid_build_graph
+from oracles import anchor_loop_scores, grid_build_graph, loop_nearest_neighbor_edges
 
 from redlab.lattice import (
     GraphTooSmall,
     alternate_minimization,
     build_graph,
     c_per,
+    nearest_neighbor_edges,
     q_energy,
     rank_textures,
     round_half_away,
@@ -125,6 +126,30 @@ def test_graph_matches_full_grid_build_on_random_maps(shape):
         assert np.array_equal(got.edges, want.edges)
         assert np.array_equal(got.edge_vectors, want.edge_vectors)
         assert got.n_components == want.n_components
+
+
+def _edge_point_sets():
+    rng = np.random.default_rng(21)
+    ii, jj = np.mgrid[0:7, 0:9]
+    lattice_pts = np.stack([3 * ii.ravel() + jj.ravel(), 4 * jj.ravel()], axis=1)
+    yield pytest.param(lattice_pts, id="lattice")
+    yield pytest.param(rng.permutation(lattice_pts), id="lattice-shuffled")
+    for n in (2, 3, 5, 17, 80):
+        yield pytest.param(rng.integers(-40, 41, (n, 2)), id=f"random-{n}")
+        # Few distinct coordinates: many equal distances, and repeated points.
+        yield pytest.param(rng.integers(-2, 3, (n, 2)), id=f"ties-{n}")
+    yield pytest.param(rng.normal(0.0, 10.0, (40, 2)), id="floats")
+    # More rows than one block of squared distances.
+    yield pytest.param(np.unique(rng.integers(-30, 31, (600, 2)), axis=0), id="blocks")
+
+
+@pytest.mark.parametrize("points", list(_edge_point_sets()))
+def test_nearest_neighbor_edges_match_tuple_sort(points):
+    got_edges, got_vec = nearest_neighbor_edges(points)
+    want_edges, want_vec = loop_nearest_neighbor_edges(points)
+    assert got_edges.dtype == want_edges.dtype
+    assert np.array_equal(got_edges, want_edges)
+    assert np.array_equal(got_vec, want_vec)
 
 
 # ------------------------------------------------------------------ energy
