@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, background, denoise, detect, imgio, lattice
-from .grid import PatchDomain, laplacian
+from .grid import PatchDomain, as_map, laplacian
 
 __all__ = ["main"]
 
@@ -114,6 +114,8 @@ def _check_fits(path, u, p: int) -> None:
 
 
 def _cmd_detect(args):
+    if args.nfa < 0:
+        raise ValueError(f"{args.input}: --nfa {args.nfa} must be nonnegative")
     u, _ = imgio.read_pgm(args.input)
     x, y, p = args.patch
     domain = PatchDomain(anchor=(x, y), side=p)
@@ -146,8 +148,8 @@ def _cmd_detect(args):
 
 
 def _cmd_denoise(args):
-    if args.sigma <= 0:
-        raise ValueError(f"{args.input}: --sigma must be positive")
+    if args.sigma <= 0 or args.sigma * args.sigma == 0:
+        raise ValueError(f"{args.input}: --sigma {args.sigma} must be positive, squaring above 0")
     u, maxval = imgio.read_pgm(args.input)
     _check_fits(args.input, u, args.p)
     window = (2 * args.c + 1) ** 2
@@ -205,32 +207,29 @@ def _lattice_points_in_bounds(anchor, basis, shape, cap=10000):
 
 
 def _cmd_lattice(args):
+    if args.nfa < 0:
+        raise ValueError(f"{args.input}: --nfa {args.nfa} must be nonnegative")
     u, maxval = imgio.read_pgm(args.input)
     x, y, p = args.patch
     work = laplacian(u) if args.preprocess == "laplacian" else u
-    model = background.from_exemplar(work)
-    result = detect.autosim_detection(work, PatchDomain(anchor=(x, y), side=p), model, args.nfa)
+    domain = PatchDomain(anchor=(x, y), side=p)
+    laws = detect.offset_laws(background.from_exemplar(work), domain)
+    values = as_map(work, domain)
     try:
-        graph = lattice.build_graph(result.d_map, result.as_values)
+        graph, fit, score = lattice.fit_anchor(
+            laws, values, args.nfa / values.size, args.dB, args.dM, args.iters, args.init, args.seed
+        )
     except lattice.GraphTooSmall as exc:
         print(f"insufficient detections: {exc}", file=sys.stderr)
         failed = {"status": "insufficient detections", "detail": str(exc)}
         return {}, [("fit", "fit.json", _json(failed, "fit.json"))]
-    fit = lattice.alternate_minimization(
-        graph.edge_vectors,
-        args.dB,
-        args.dM,
-        args.iters,
-        init=args.init,
-        seed=args.seed,
-    )
     payload = {
         "status": "ok",
         "n_components": graph.n_components,
         "vertices": graph.vertices,
         "edges": graph.edges,
         "edge_vectors": graph.edge_vectors,
-        "c_per": lattice.c_per(fit, graph.n_components),
+        "c_per": score,
         **dataclasses.asdict(fit),
     }
     overlay = u.copy()

@@ -57,8 +57,8 @@ class DenoiseConfig:
     threshold_mode: str = "constant-mean"
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if self.sigma <= 0 or self.sigma * self.sigma == 0:
+            raise ValueError("sigma must be positive, with a square above 0")
         if self.patch_side < 1 or self.search_radius < 0:
             raise ValueError("invalid patch geometry")
         if not 0 <= self.nfa_max <= self.window_size:
@@ -88,11 +88,11 @@ def nlmeans_a_priori_threshold(
     Returns the ``(2c+1, 2c+1)`` threshold map indexed ``[ty+c, tx+c]``
     (zero at the origin, which is always selected) and the mean threshold
     over the nonzero offsets, 0 when ``c = 0`` leaves none.  Thresholds
-    are the quantiles of each offset's law at level ``1 - nfa_max / |T|``:
-    infinite at ``nfa_max = 0`` and zero at ``nfa_max = |T|``.  The laws
-    are one :func:`~redlab.detect.offset_laws` table, masked to the window,
-    on the white torus of side ``max(p + c, 2c + 1)``: no component of
-    ``a`` or ``a +- t`` reaches the side for ``|a| < p`` and ``|t| <= c``,
+    are each offset's ``quantile`` at ``1 - nfa_max / |T|``: infinite where
+    that rounds to 1, as at ``nfa_max = 0``, and zero at ``nfa_max = |T|``.
+    The laws are one :func:`~redlab.detect.offset_laws` table, masked to the
+    window, on the white torus of side ``max(p + c, 2c + 1)``: no component
+    of ``a`` or ``a +- t`` reaches the side for ``|a| < p`` and ``|t| <= c``,
     so each law is the plane's, and the window offsets take distinct cells.
     """
     n_t = (2 * c + 1) ** 2
@@ -100,9 +100,6 @@ def nlmeans_a_priori_threshold(
         raise ValueError("need 0 <= nfa_max <= |T|")
     if nfa_max == n_t:
         a_map = np.zeros((2 * c + 1, 2 * c + 1))
-    elif nfa_max == 0.0:
-        a_map = np.full((2 * c + 1, 2 * c + 1), np.inf)
-        a_map[c, c] = 0.0
     else:
         side = max(p + c, 2 * c + 1)
         ty, tx = np.mgrid[-c : c + 1, -c : c + 1] % side
@@ -110,6 +107,7 @@ def nlmeans_a_priori_threshold(
         window[ty, tx] = True
         laws = offset_laws(white_noise((side, side)), PatchDomain(side=p), mask=window)
         a_map = laws.quantile_map(1.0 - nfa_max / n_t)[ty, tx]  # copies the read-only map
+        a_map[c, c] = 0.0  # the origin's point mass has an infinite threshold at q = 1
     mean_a = float(a_map.sum() / (n_t - 1)) if n_t > 1 else 0.0
     return a_map, mean_a
 

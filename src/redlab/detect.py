@@ -3,9 +3,9 @@
 For each offset ``t`` the probability map holds the probability, under the
 background model, that the auto-similarity statistic is at most its
 observed value.  An offset is detected when that probability is at most
-``nfa_max / |domain|``; the expected number of detections in the
-background is then bounded by ``nfa_max``.  Equivalently, the statistic
-itself can be compared against a per-offset quantile threshold.
+``q = nfa_max / |domain|``; the expected number of detections in the
+background is then bounded by ``nfa_max``.  The same rule in threshold
+form, bit for bit, is ``x < a+(q)`` (:func:`~redlab.quadform.quantile`).
 
 Laws depend on the offset and the patch shape but not on the patch
 anchor, so they are fitted once into an :class:`OffsetLawTable`, an array
@@ -68,30 +68,29 @@ class OffsetLawTable(WoodFParams):
         return out
 
     def quantile_map(self, q: float) -> np.ndarray:
-        """Per-offset ``q``-quantiles (0 for point-mass and masked offsets).
+        """Per-offset thresholds ``a+(q)``, 0 at masked offsets.
 
         Evaluated once per ``q`` and cached on the table; the map is
         read-only because every caller shares it.
         """
         if q not in self._quantiles:
-            a_map = np.where(self.live_mask(), quantile(self, q), 0.0)
+            a_map = quantile(self, q)
+            if self.mask is not None:
+                a_map[~self.mask] = 0.0
             a_map.flags.writeable = False
             self._quantiles[q] = a_map
         return self._quantiles[q]
 
     def live_mask(self) -> np.ndarray:
-        """Offsets that can ever be detected: evaluated and nondegenerate."""
+        """Offsets that can be detected at ``q < 1``: evaluated, nondegenerate."""
         live = self.kind != KIND_POINT
         if self.mask is not None:
             live &= self.mask
         return live
 
     def detect_by_threshold(self, as_values: np.ndarray, q: float) -> np.ndarray:
-        """Statistic-side detection: the statistic at most its offset's
-        ``q``-quantile.  Equivalent to probability-side detection away from
-        degenerate offsets, which never detect, not even where a zero
-        statistic meets their zero threshold."""
-        return (np.asarray(as_values) <= self.quantile_map(q)) & self.live_mask()
+        """``as_values < a+(q)``: bitwise ``(cdf_map(as_values) <= q) & mask``."""
+        return np.asarray(as_values) < self.quantile_map(q)
 
 
 def stride_mask(shape: tuple[int, int], stride: int) -> np.ndarray:
@@ -152,12 +151,10 @@ def offset_laws(
 
 @dataclass
 class DetectionResult:
-    """Probability map, binary detection map, statistic map, law-branch
-    counts and warnings."""
+    """Probability map, binary detection map, law counts and warnings."""
 
     p_map: np.ndarray
     d_map: np.ndarray
-    as_values: np.ndarray
     fallback_counts: dict
     warnings: list[str] = field(default_factory=list)
 
@@ -197,7 +194,6 @@ def autosim_detection(
     return DetectionResult(
         p_map=p_map,
         d_map=d_map,
-        as_values=values,
         fallback_counts=laws.fallback_counts(),
         warnings=warnings,
     )

@@ -68,10 +68,12 @@ def _as_image(u) -> np.ndarray:
 def as_map(u, patch: PatchDomain | list[PatchDomain]) -> np.ndarray:
     """Auto-similarity at every offset of the torus, via FFT correlations.
 
-    Uses the expansion of the squared distance into a patch-masked energy
-    term, a cross term and a constant; both offset-dependent sums are
-    periodic cross-correlations.  Values below ``1e-9 * ||u||^2`` are
-    clamped to zero so exact repeats beat any positive threshold.
+    Expands the squared distance of the mean-centered image (so the FFT
+    sums round relative to its variance, not its energy) into a
+    patch-masked energy term, a cross term and a constant; both
+    offset-dependent sums are periodic cross-correlations.  Values below
+    ``1e-9 * ||u||^2`` are clamped to zero so exact repeats beat any
+    positive threshold.
 
     ``patch`` may also be a sequence of ``K`` patches: the image is then
     transformed once, and map ``k`` of the ``(K, h, w)`` result is bit for
@@ -86,8 +88,9 @@ def as_map(u, patch: PatchDomain | list[PatchDomain]) -> np.ndarray:
     for k, c in enumerate(p.coords() for p in patches):
         np.add.at(ind[k], (c[:, 1] % h, c[:, 0] % w), 1.0)
     # Periodic cross-correlations t -> sum_x a(x) b(x+t).
-    term1 = np.fft.irfft2(np.conj(np.fft.rfft2(ind)) * np.fft.rfft2(u * u), s=(h, w))
-    term2 = np.fft.irfft2(np.conj(np.fft.rfft2(ind * u)) * np.fft.rfft2(u), s=(h, w))
+    v = u - u.mean()  # distances ignore a constant
+    term1 = np.fft.irfft2(np.conj(np.fft.rfft2(ind)) * np.fft.rfft2(v * v), s=(h, w))
+    term2 = np.fft.irfft2(np.conj(np.fft.rfft2(ind * v)) * np.fft.rfft2(v), s=(h, w))
     out = term1 - 2.0 * term2 + term1[:, :1, :1]
     clamp = AS_CLAMP_REL * float(np.sum(u * u))
     out[out < clamp] = 0.0

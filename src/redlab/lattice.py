@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .background import from_exemplar
-from .detect import offset_laws
+from .detect import OffsetLawTable, offset_laws
 from .grid import PatchDomain, as_map
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "alternate_minimization",
     "build_graph",
     "c_per",
+    "fit_anchor",
     "nearest_neighbor_edges",
     "q_energy",
     "rank_textures",
@@ -298,6 +299,18 @@ def c_per(fit: LatticeFit, n_components: int) -> float:
     return math.pi * fit.sigma2 / (n_components * abs(fit.det))
 
 
+def fit_anchor(
+    laws: OffsetLawTable, values, q: float, delta_b: float, delta_m: float, n_iter: int,
+    init: str = "median", seed: int | None = None,
+) -> tuple[DetectionGraph, LatticeFit, float]:  # fmt: skip
+    """One anchor's lattice: detect offsets at level ``q`` on its statistic
+    map ``values``, build their graph, fit a basis and score it; returns
+    the graph, the fit and :func:`c_per`.  Raises :class:`GraphTooSmall`."""
+    graph = build_graph(laws.detect_by_threshold(values, q), values)
+    fit = alternate_minimization(graph.edge_vectors, delta_b, delta_m, n_iter, init, seed)
+    return graph, fit, c_per(fit, graph.n_components)
+
+
 def rank_textures(
     images,
     n_anchors: int = 150,
@@ -314,11 +327,11 @@ def rank_textures(
     For each image: build its exemplar background model, fit the law table
     once (the laws do not depend on the patch anchor), then for each of
     ``n_anchors`` seeded uniform patch positions (mapped a few at a time by
-    one stacked ``as_map`` call) run detection, build the graph and fit a
-    lattice; the image's score is the median periodicity criterion over
-    the anchors whose graph could be built.  The returned records are
-    sorted by ascending score; images with no successful anchor are
-    reported unranked and sort last (ties keep input order).
+    one stacked ``as_map`` call) run :func:`fit_anchor`; the image's score
+    is the median periodicity criterion over the anchors whose graph could
+    be built.  The returned records are sorted by ascending score; images
+    with no successful anchor are reported unranked and sort last (ties
+    keep input order).
     """
     images = [np.asarray(u, dtype=np.float64) for u in images]
     if n_anchors < 1:
@@ -336,9 +349,7 @@ def rank_textures(
     records = []
     for idx, u in enumerate(images):
         h, w = u.shape
-        model = from_exemplar(u)
-        patch0 = PatchDomain(anchor=(0, 0), side=patch_side)
-        laws = offset_laws(model, patch0)
+        laws = offset_laws(from_exemplar(u), PatchDomain(anchor=(0, 0), side=patch_side))
         q = nfa_max / (h * w)
         # One anchor stream per master seed, shared by all images: scores
         # are compared at common positions, and the ranking cannot depend
@@ -353,15 +364,11 @@ def rank_textures(
         # Stacks of at most 2**14 map values: one image transform per stack.
         chunk = max(1, 2**14 // (h * w))
         for start in range(0, n_anchors, chunk):
-            stack = as_map(u, patches[start : start + chunk])
-            for values, d_map in zip(stack, laws.detect_by_threshold(stack, q)):
+            for values in as_map(u, patches[start : start + chunk]):
                 try:
-                    graph = build_graph(d_map, values)
+                    values_list.append(fit_anchor(laws, values, q, delta_b, delta_m, n_iter)[2])
                 except GraphTooSmall:
                     n_failed += 1
-                    continue
-                fit = alternate_minimization(graph.edge_vectors, delta_b, delta_m, n_iter)
-                values_list.append(c_per(fit, graph.n_components))
         score = float(np.median(values_list)) if values_list else None
         records.append(
             {
@@ -373,12 +380,7 @@ def rank_textures(
                 "c_per_values": values_list,
             }
         )
-    records.sort(
-        key=lambda r: (
-            (0, r["score"]) if r["score"] is not None else (1, 0.0),
-            r["index"],
-        )
-    )
+    records.sort(key=lambda r: (r["score"] is None, r["score"] or 0.0, r["index"]))
     for rank, rec in enumerate(records):
         rec["rank"] = rank
     return records

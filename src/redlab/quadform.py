@@ -10,8 +10,8 @@ two-moment scaled chi-square fit; the zero law is an explicit point mass.
 :func:`fit`, :func:`cdf` and :func:`quantile` work elementwise on arrays
 of laws, and a scalar law is their 0-d case, so one code path serves a
 single offset and a whole offset map.  :func:`quantile` bisects each law
-to adjacent floats, and a verified bracket around the closed-form inverse
-CDF spares it the CDF calls far from the quantile, without changing a bit.
+to the smallest float with CDF above the level; a verified bracket around
+the closed-form inverse spares it far CDF calls without changing a bit.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def _take(params: WoodFParams, index) -> WoodFParams:
 
 
 def _bracket(law: WoodFParams, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds ``L < U`` with ``cdf(L) < q <= cdf(U)`` around each law's
+    """Bounds ``L < U`` with ``cdf(L) <= q < cdf(U)`` around each law's
     closed-form inverse; ``(-inf, inf)`` where that seed or check fails."""
     wood = law.kind == KIND_WOOD
     x0 = np.empty(law.kind.shape)
@@ -159,43 +159,45 @@ def _bracket(law: WoodFParams, q: float) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = x0 * (1.0 - _BRACKET_REL), x0 * (1.0 + _BRACKET_REL)
     ok = np.isfinite(x0) & (x0 > 0.0)
     # NaN CDFs fail both comparisons.
-    ok[ok] = (cdf(_take(law, ok), lo[ok]) < q) & (cdf(_take(law, ok), hi[ok]) >= q)
+    ok[ok] = (cdf(_take(law, ok), lo[ok]) <= q) & (cdf(_take(law, ok), hi[ok]) > q)
     lo[~ok], hi[~ok] = -np.inf, np.inf
     return lo, hi
 
 
 def quantile(params: WoodFParams, q: float):
-    """Generalized inverse CDF of each law at ``q in (0,1)``.
+    """Smallest float ``a+(q)`` with ``cdf > q``, for each law and ``q >= 0``.
 
-    Elementwise over an array fit; a 0-d result is a Python float.  The
-    point mass gives 0.  Other laws are bracketed by doubling from
-    ``max(mean, 1)``, then bisected from 0 to adjacent floats: the result
-    ``x`` has ``cdf(x) >= q > cdf(prev(x))``, ``prev(x)`` the float below.
+    Elementwise over an array fit; a 0-d result is a Python float.  As the
+    CDF is monotone, ``x < a+(q)`` exactly when ``cdf(x) <= q``.  It is
+    ``inf`` at ``q >= 1``; below, the point mass gives 0 and other laws are
+    bracketed by doubling from ``max(mean, 1)``, then bisected from 0 to
+    adjacent floats, ``cdf(x) > q >= cdf(prev(x))`` (``prev``: float below).
 
-    Each step asks whether ``cdf(x) >= q``.  The closed-form inverse seeds
+    Each step asks whether ``cdf(x) > q``.  The closed-form inverse seeds
     a bracket ``[L, U]`` of relative width ``2**-39``, verified by two CDF
     sweeps; steps below ``L`` are "below" and steps above ``U`` "above"
     without a CDF call.  So the search takes the path, and gives the bits,
     of evaluating every step, but only about 14 of its 60-odd steps per
     law cost a call.  A law whose seed fails the check evaluates them all.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must be in (0,1), got {q}")
+    if not q >= 0.0:  # NaN included
+        raise ValueError(f"quantile level must be >= 0, got {q}")
     kind, p0, p1, scale = np.broadcast_arrays(params.kind, params.p0, params.p1, params.scale)
-    live = kind != KIND_POINT
+    out = np.full(kind.shape, np.inf if q >= 1.0 else 0.0)
+    live = (kind != KIND_POINT) & (q < 1.0)  # no search at q >= 1
     # Equal laws, such as a law table's laws at t and -t, share one search.
     rows = np.stack([a[live] for a in (kind, p0, p1, scale)], axis=1, dtype=np.float64)
     _, first, inverse = np.unique(rows.view("V32").ravel(), return_index=True, return_inverse=True)
     law = _take(WoodFParams(kind[live], p0[live], p1[live], scale[live]), first)
     low, high = _bracket(law, q)
 
-    def reaches(todo: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # NaN (an overflowed Wood F ratio) counts as below q.
-        out = x > high[todo]
-        inside = np.flatnonzero(~out & (x >= low[todo]))
+    def exceeds(todo: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # NaN (an overflowed Wood F ratio) counts as not above q.
+        up = x > high[todo]
+        inside = np.flatnonzero(~up & (x >= low[todo]))
         if inside.size:
-            out[inside] = cdf(_take(law, todo[inside]), x[inside]) >= q
-        return out
+            up[inside] = cdf(_take(law, todo[inside]), x[inside]) > q
+        return up
 
     # A fitted alpha2 exceeds 3; the floor keeps the unused Wood F means
     # of gamma laws finite.
@@ -203,7 +205,7 @@ def quantile(params: WoodFParams, q: float):
     hi = np.maximum(np.where(law.kind == KIND_WOOD, wood_mean, law.p0 * law.p1), 1.0)
     todo = np.arange(hi.size)
     for _ in range(_MAX_DOUBLINGS):
-        todo = todo[~reaches(todo, hi[todo])]
+        todo = todo[~exceeds(todo, hi[todo])]
         if todo.size == 0:
             break
         hi[todo] *= 2.0
@@ -215,9 +217,8 @@ def quantile(params: WoodFParams, q: float):
         mid = 0.5 * (lo[todo] + hi[todo])
         gap = (mid != lo[todo]) & (mid != hi[todo])
         todo, mid = todo[gap], mid[gap]
-        above = reaches(todo, mid)
+        above = exceeds(todo, mid)
         hi[todo[above]] = mid[above]
         lo[todo[~above]] = mid[~above]
-    out = np.zeros(kind.shape)
     out[live] = hi[inverse]
     return float(out) if out.ndim == 0 else out

@@ -361,8 +361,9 @@ def table_cdf_map(table, values) -> np.ndarray:
 
 
 def table_quantile_map(table, q: float) -> np.ndarray:
-    """Vectorised quantile map of a law table: up to 200 bracket doublings
-    and a fixed 80 halvings; 0 at point-mass and masked offsets."""
+    """Vectorised map of the smallest floats with CDF above ``q`` of a law
+    table, ``q`` in (0, 1): up to 200 bracket doublings and a fixed 80
+    halvings; 0 at point-mass and masked offsets."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0,1), got {q}")
     live = table.kind != KIND_POINT
@@ -385,7 +386,7 @@ def table_quantile_map(table, q: float) -> np.ndarray:
     mean = np.where(wood, sc * p0 / np.maximum(p1 - 1.0, 1e-12), p0 * p1)
     hi = np.maximum(mean, 1.0)
     for _ in range(200):
-        low = vec_cdf(hi) < q
+        low = vec_cdf(hi) <= q
         if not np.any(low):
             break
         hi[low] *= 2.0
@@ -394,7 +395,7 @@ def table_quantile_map(table, q: float) -> np.ndarray:
     lo = np.zeros_like(hi)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        above = vec_cdf(mid) >= q
+        above = vec_cdf(mid) > q
         hi[above] = mid[above]
         lo[~above] = mid[~above]
     out[live] = hi
@@ -414,25 +415,26 @@ def _array_cdf(kind, p0, p1, scale, x) -> np.ndarray:
 
 
 def bisect_quantile(params, q: float):
-    """Array quantile that evaluates the CDF at every step: up to 1000
-    bracket doublings from ``max(mean, 1)``, then bisection from 0 until
-    the bracket is two adjacent floats.  NaN counts as below ``q``; a 0-d
-    result is a Python float."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must be in (0,1), got {q}")
+    """Smallest floats with CDF above ``q``, ``q`` in [0, 1), by a search
+    that evaluates the CDF at every step: up to 1000 bracket doublings from
+    ``max(mean, 1)``, then bisection from 0 until the bracket is two
+    adjacent floats.  NaN counts as not above ``q``; point masses give 0; a
+    0-d result is a Python float."""
+    if not 0.0 <= q < 1.0:
+        raise ValueError(f"quantile level must be in [0,1), got {q}")
     kind, p0, p1, scale = np.broadcast_arrays(params.kind, params.p0, params.p1, params.scale)
     live = kind != KIND_POINT
     kind, p0, p1, scale = kind[live], p0[live], p1[live], scale[live]
 
-    def reaches(todo, x):
-        return _array_cdf(kind[todo], p0[todo], p1[todo], scale[todo], x) >= q
+    def exceeds(todo, x):
+        return _array_cdf(kind[todo], p0[todo], p1[todo], scale[todo], x) > q
 
     wood_mean = scale * p0 / np.maximum(p1 - 1.0, 1e-12)
     hi = np.maximum(np.where(kind == KIND_WOOD, wood_mean, p0 * p1), 1.0)
     todo = np.arange(hi.size)
     for _ in range(1000):
         with np.errstate(invalid="ignore"):
-            todo = todo[~reaches(todo, hi[todo])]
+            todo = todo[~exceeds(todo, hi[todo])]
         if todo.size == 0:
             break
         hi[todo] *= 2.0
@@ -444,7 +446,7 @@ def bisect_quantile(params, q: float):
         mid = 0.5 * (lo[todo] + hi[todo])
         gap = (mid != lo[todo]) & (mid != hi[todo])
         todo, mid = todo[gap], mid[gap]
-        above = reaches(todo, mid)
+        above = exceeds(todo, mid)
         hi[todo[above]] = mid[above]
         lo[todo[~above]] = mid[~above]
     out = np.zeros(live.shape)

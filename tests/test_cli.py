@@ -477,7 +477,7 @@ def test_seed_flag_is_rejected_where_nothing_is_seeded(tmp_path, stripe_image, c
     assert "seed" not in manifest["params"]
 
 
-@pytest.mark.parametrize("nfa", ["0", "-1", "5000"])
+@pytest.mark.parametrize("nfa", ["0", "-1", "2304", "5000"])
 def test_rank_rejects_nfa_before_any_law_table(tmp_path, capsys, monkeypatch, nfa):
     import redlab.lattice
 
@@ -697,6 +697,9 @@ def test_truncated_header_exits_2_naming_the_file(tmp_path, capsys, argv):
         (["denoise", "{image}", "--sigma", "5", "--p", "1", "--c", "0"], 2, "--nfa"),  # 4.41 > 1
         (["rank", "{folder}", "--p", "30"], 2, "--p"),
         (["denoise", "{image}", "--sigma", "1e160", "--p", "4", "--c", "2"], 3, "--sigma"),
+        (["denoise", "{image}", "--sigma", "1e-300", "--p", "4", "--c", "1"], 2, "--sigma"),
+        (["detect", "{image}", "--patch", "2,2,4", "--nfa=-1"], 2, "--nfa"),
+        (["lattice", "{image}", "--patch", "2,2,4", "--nfa=-1e-300"], 2, "--nfa"),
     ],
 )
 def test_option_out_of_range_names_the_input_and_the_option(
@@ -784,3 +787,82 @@ def test_edge_geometry_constant_image(tmp_path):
     assert main(["lattice", str(path), "--patch", "0,0,4", "--out", str(out)]) == 0
     fit = json.loads((out / "fit.json").read_text())
     assert fit["status"] == "insufficient detections"
+
+
+# ----------------------------------------------------------- --nfa edges
+
+
+def planted_repeats(path) -> None:
+    """A 32 x 32 noise image whose window [2, 12)^2 repeats exactly at the
+    offsets (14, 3) and (5, 11), so a patch inside it has a zero distance
+    there and nowhere else."""
+    u = np.random.default_rng(13).integers(0, 256, (32, 32)).astype(np.float64)
+    for tx, ty in ((14, 3), (5, 11)):
+        u[2 + ty : 12 + ty, 2 + tx : 12 + tx] = u[2:12, 2:12]
+    write_pgm(path, u)
+
+
+@pytest.mark.parametrize("model", ["white", "exemplar"])
+def test_detect_at_nfa_zero_detects_exactly_the_zero_probabilities(tmp_path, model):
+    path = tmp_path / "planted.pgm"
+    planted_repeats(path)
+    out = tmp_path / "out"
+    argv = ["detect", str(path), "--patch", "4,4,6", "--nfa", "0", "--model", model]
+    assert main(argv + ["--out", str(out)]) == 0
+    d_map = read_pgm(out / "D_map.pgm")[0] > 0
+    assert np.array_equal(d_map, read_pfm(out / "P_map.pfm") == 0.0)
+    assert sorted(zip(*np.nonzero(d_map))) == [(3, 14), (11, 5)]
+
+
+def test_lattice_at_nfa_zero_links_exactly_the_zero_probabilities(tmp_path):
+    path = tmp_path / "planted.pgm"
+    planted_repeats(path)
+    out = tmp_path / "out"
+    assert main(["lattice", str(path), "--patch", "4,4,6", "--nfa", "0", "--out", str(out)]) == 0
+    fit = json.loads((out / "fit.json").read_text())
+    assert fit["status"] == "ok"
+    assert fit["vertices"] == [[5, 11], [14, 3]]
+    assert fit["n_components"] == 2
+
+
+@pytest.mark.parametrize("nfa", ["1024", "1e9"])
+def test_nfa_of_the_domain_size_detects_every_offset(tmp_path, capsys, nfa):
+    # |domain| = 32 * 32: every offset is detected, the origin included, so
+    # the one component holds the origin and lattice has no vertex.
+    path = tmp_path / "planted.pgm"
+    planted_repeats(path)
+    out = tmp_path / "detect"
+    assert main(["detect", str(path), "--patch", "4,4,6", "--nfa", nfa, "--out", str(out)]) == 0
+    assert np.all(read_pgm(out / "D_map.pgm")[0] == 255)
+    assert json.loads((out / "detection.json").read_text())["n_detected"] == 1024
+    out = tmp_path / "lattice"
+    assert main(["lattice", str(path), "--patch", "4,4,6", "--nfa", nfa, "--out", str(out)]) == 0
+    assert json.loads((out / "fit.json").read_text())["status"] == "insufficient detections"
+    assert "insufficient detections" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nfa, off_origin", [("0", "inf"), ("1e-300", "inf"), ("25", 0.0)])
+def test_denoise_nfa_edge_thresholds(tmp_path, stripe_image, nfa, off_origin):
+    # 1 - 1e-300 / 25 rounds to the level 1, whose thresholds are infinite.
+    path, _ = stripe_image
+    out = tmp_path / "out"
+    argv = ["denoise", str(path), "--sigma", "20", "--p", "4", "--c", "2", "--nfa", nfa,
+            "--mode", "per-offset", "--out", str(out)]  # fmt: skip
+    assert main(argv) == 0
+    report = strict_outputs(out)["report.json"]
+    expected = [[off_origin] * 5 for _ in range(5)]
+    expected[2][2] = 0.0
+    assert report["thresholds"] == expected
+    assert report["threshold_mean"] == off_origin
+
+
+def test_denoise_tiny_sigma_keeps_infinite_thresholds_selecting(tmp_path):
+    # At --nfa 0 every threshold off the origin is infinite, and 1e-100
+    # squares to 1e-200, not 0: an inner patch selects its whole 3 x 3
+    # window.  (A sigma squaring to 0, which would make 0 * inf, exits 2.)
+    path = tmp_path / "r16.pgm"
+    write_pgm(path, np.random.default_rng(14).integers(0, 256, (16, 16)).astype(np.float64))
+    out = tmp_path / "out"
+    argv = ["denoise", str(path), "--sigma", "1e-100", "--nfa", "0", "--p", "4", "--c", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert strict_outputs(out)["report.json"]["selected_max"] == 9

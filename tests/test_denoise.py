@@ -148,6 +148,14 @@ def test_threshold_validation():
         nlmeans_a_priori_threshold(8, 10, -0.1)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, 1e-300])
+def test_config_rejects_a_sigma_whose_square_is_not_positive(sigma):
+    # 1e-300 squares to 0, and 0 times an infinite threshold is NaN.
+    with pytest.raises(ValueError):
+        DenoiseConfig(sigma=sigma)
+    assert DenoiseConfig(sigma=1e-100).sigma ** 2 > 0.0
+
+
 # ------------------------------------------------------------ limit behavior
 
 

@@ -128,9 +128,7 @@ def test_quantile_map_is_evaluated_once_per_level_and_read_only(monkeypatch):
     values = as_map(u, patch)
     for _ in range(3):
         assert table.quantile_map(0.01) is a_map
-        assert np.array_equal(
-            table.detect_by_threshold(values, 0.01), (values <= a_map) & table.live_mask()
-        )
+        assert np.array_equal(table.detect_by_threshold(values, 0.01), values < a_map)
     table.quantile_map(0.02)
     assert levels == [0.01, 0.02]
 
@@ -195,16 +193,23 @@ def test_detect_monotone_in_nfa():
 
 
 def test_detect_route_equivalence():
+    # Probabilities and thresholds decide the same offsets, at both nfa
+    # edges too: at 0 only P = 0 (the planted repeat), from |domain| on all.
     rng = np.random.default_rng(7)
     u = rng.standard_normal((32, 32))
-    model = from_exemplar(rng.standard_normal((32, 32)))
-    patch = PatchDomain(side=4)
-    laws = offset_laws(model, patch)
-    nfa = 37.0
-    q = nfa / 1024
-    res = autosim_detection(u, patch, model, nfa)
-    via_threshold = laws.detect_by_threshold(res.as_values, q)
-    assert np.array_equal(res.d_map, via_threshold)
+    u[10:20, 17:27] = u[3:13, 5:15]  # an exact repeat at offset (12, 7)
+    patch = PatchDomain(anchor=(5, 3), side=4)
+    values = as_map(u, patch)
+    for model in (from_exemplar(rng.standard_normal((32, 32))), white_noise((32, 32))):
+        laws = offset_laws(model, patch)
+        for nfa in (0.0, 1e-300, 37.0, 1024.0, 5000.0):
+            res = autosim_detection(u, patch, model, nfa)
+            assert np.array_equal(res.d_map, laws.detect_by_threshold(values, nfa / 1024))
+            assert res.d_map[7, 12]
+            if nfa == 0.0:
+                assert np.array_equal(res.d_map, res.p_map == 0.0)
+            if nfa >= 1024.0:
+                assert res.d_map.all()
 
 
 def test_detect_masked_offsets():

@@ -75,6 +75,17 @@ def random_table(rng, shape, mask) -> OffsetLawTable:
     return OffsetLawTable(params.kind, params.p0, params.p1, params.scale, mask=mask)
 
 
+def drawn_statistics(rng, table) -> np.ndarray:
+    """Statistics from 0 to 3 times each law's mean, a tenth of them 0."""
+    shape = table.kind.shape
+    with np.errstate(invalid="ignore", divide="ignore"):  # off the Wood F laws
+        wood_mean = table.scale * table.p0 / (table.p1 - 1.0)
+    mean = np.where(table.kind == KIND_WOOD, wood_mean, table.p0 * table.p1)
+    values = rng.uniform(0.0, 3.0, shape) * mean
+    values[rng.random(shape) < 0.1] = 0.0
+    return values
+
+
 def masks(rng, shape):
     return [
         None,
@@ -90,11 +101,7 @@ def test_random_table_maps_bit_identical(seed):
     shape = (12, 14)
     for mask in masks(rng, shape):
         table = random_table(rng, shape, mask)
-        with np.errstate(invalid="ignore", divide="ignore"):  # off the Wood F laws
-            wood_mean = table.scale * table.p0 / (table.p1 - 1.0)
-        mean = np.where(table.kind == KIND_WOOD, wood_mean, table.p0 * table.p1)
-        values = rng.uniform(0.0, 3.0, shape) * mean
-        values[rng.random(shape) < 0.1] = 0.0
+        values = drawn_statistics(rng, table)
         assert np.array_equal(table.cdf_map(values), table_cdf_map(table, values))
         for q in (1e-3, 0.05, 0.5, 0.99):
             got = table.quantile_map(q)
@@ -173,17 +180,17 @@ def test_a_priori_thresholds_match_per_class_loop():
 
 # ------------------------------------------- bracketed quantile search
 
-LEVELS = (1e-7, 1.0 / 2304, 0.5, 1.0 - 1e-4, 1.0 - 1e-9)
+LEVELS = (0.0, 1e-7, 1.0 / 2304, 0.5, 1.0 - 1e-4, 1.0 - 1e-9)
 
 
 def assert_quantile_contract(params, q, x):
-    """``cdf(x) >= q > cdf(prev(x))`` at every live entry."""
+    """``cdf(x) > q >= cdf(prev(x))`` at every live entry."""
     fields = [np.asarray(a) for a in (params.kind, params.p0, params.p1, params.scale)]
     live = fields[0] != KIND_POINT
     law = WoodFParams(*(a[live] for a in fields))
     x = np.asarray(x)[live]
-    assert np.all(cdf(law, x) >= q)
-    assert np.all(cdf(law, np.nextafter(x, 0.0)) < q)
+    assert np.all(cdf(law, x) > q)
+    assert np.all(cdf(law, np.nextafter(x, 0.0)) <= q)
 
 
 @pytest.mark.parametrize("q", LEVELS)
@@ -316,3 +323,28 @@ def test_cdf_broadcasts_one_law_over_points():
     got = cdf(params, xs)
     assert got.shape == xs.shape
     assert np.array_equal(got, [[cdf(params, float(x)) for x in row] for row in xs])
+
+
+# ------------------------------------------------ the one detection rule
+
+RULE_LEVELS = (0.0, 1e-7, 1.0 / 2304, 0.5, 1.0 - 1e-9, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_threshold_detection_is_the_probability_rule_bit_for_bit(seed):
+    # x < a+(q) exactly when cdf(x) <= q, on Wood F, gamma and point-mass
+    # laws: at drawn statistics (zeros included), and at ties built on each
+    # law's threshold and on the float just below it.
+    rng = np.random.default_rng(60 + seed)
+    shape = (12, 14)
+    for mask in masks(rng, shape):
+        table = random_table(rng, shape, mask)
+        evaluated = np.ones(shape, bool) if mask is None else mask
+        drawn = drawn_statistics(rng, table)
+        for q in RULE_LEVELS:
+            a_plus = quantile(table, q)  # every law's, masked offsets included
+            finite = np.isfinite(a_plus)
+            ties = [np.where(finite, a, drawn) for a in (a_plus, np.nextafter(a_plus, 0.0))]
+            for values in (drawn, *ties):
+                want = (table.cdf_map(values) <= q) & evaluated
+                assert np.array_equal(table.detect_by_threshold(values, q), want), q

@@ -140,8 +140,15 @@ def test_quantile_roundtrip_in_bulk():
 
 
 def test_quantile_domain():
+    # Every q >= 0 is a level: a+(0) is the smallest float with a positive
+    # CDF, and no float has a CDF above q >= 1.
     params = fit(law_from_eigenvalues([(1.0, 1)]))
-    for q in (0.0, 1.0, -0.2, 1.5):
+    a0 = quantile(params, 0.0)
+    assert 0.0 < a0 < 1e-300
+    assert cdf(params, a0) > 0.0 == cdf(params, np.nextafter(a0, 0.0))
+    assert quantile(params, 1.0) == quantile(params, 1.5) == np.inf
+    assert quantile(fit(QuadFormLaw(0.0, 0.0, 0.0)), 1.0) == np.inf
+    for q in (-0.2, -1e-300, np.nan):
         with pytest.raises(ValueError):
             quantile(params, q)
 
