@@ -17,6 +17,16 @@ Offsets ``t`` and ``-t`` share one distance pass: the difference image of
 the same array on the anchor grid shifted by ``t``.  Each offset keeps its
 own threshold and float sums over offsets run in row-major order, so the
 outputs match a per-offset loop bit for bit.
+
+Each offset's pixel cover is box-summed only over the rows its selection
+spans and from its first selected column to the right edge: its bits are
+kept for that crop alone, and an offset that selects nothing is skipped.
+The crop gives the full-frame sums bit for bit.  Above and left of it the
+weights are 0.0, so the prefix sums there are exact zeros and ``0.0 + x ==
+x``; below it the box sum reads two equal prefix rows, ``((A - A) - C) + C
+== +0.0``; and the skipped additions are of ``+-0.0`` to a sum that starts
+at +0.0 and never becomes -0.0.  The right side is not cropped: there the
+full-frame sum ``((A - B) - A) + B`` can leave a nonzero round-off residue.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import numpy as np
 
 from .background import white_noise
 from .detect import offset_laws
-from .grid import PatchDomain
+from .grid import PatchDomain, _as_image
 
 __all__ = [
     "DenoiseConfig",
@@ -153,15 +163,19 @@ def _pair_distances(u: np.ndarray, p: int, c: int):
 
 def _aggregate(u: np.ndarray, p: int, weights: Iterable) -> np.ndarray:
     """Pixel estimates from per-offset anchor weights (each summing to one
-    over offsets at every anchor), accumulated in the order given."""
+    over offsets at every anchor), accumulated in the order given.  Each
+    item ``(tx, ty, r0, c0, w_t)`` holds the weights of the anchors from
+    row ``r0`` and column ``c0`` on, through the last anchor column; every
+    weight outside that crop is zero."""
     h, w = u.shape
     buf = np.zeros((h + p, w + p))
     out = np.zeros((h, w))
-    for tx, ty, w_t in weights:
-        cover = _box_sum(buf, w_t, p, p - 1)
-        dst = np.s_[max(0, -ty) : h - max(0, ty), max(0, -tx) : w - max(0, tx)]
-        src = np.s_[max(0, ty) : h - max(0, -ty), max(0, tx) : w - max(0, -tx)]
-        out[dst] += u[src] * cover[dst]
+    for tx, ty, r0, c0, w_t in weights:
+        cover = _box_sum(buf, w_t, p, p - 1)  # pixel rows r0.., columns c0..w
+        y0, y1 = max(r0, -ty), min(r0 + cover.shape[0], h - max(0, ty))
+        x0, x1 = max(c0, -tx), w - max(0, tx)
+        src = u[y0 + ty : y1 + ty, x0 + tx : x1 + tx]
+        out[y0:y1, x0:x1] += src * cover[y0 - r0 : y1 - r0, x0 - c0 : x1 - c0]
     counts = _box_sum(buf, np.ones((h - p + 1, w - p + 1)), p, p - 1)
     return out / counts
 
@@ -175,7 +189,7 @@ def nlmeans_threshold(u, cfg: DenoiseConfig) -> DenoiseReport:
     shifted patches, and each pixel averages the estimates of all patches
     containing it.
     """
-    u = np.asarray(u, dtype=np.float64)
+    u = _as_image(u)
     p, c = cfg.patch_side, cfg.search_radius
     h, w = u.shape
     if h < p or w < p:
@@ -188,23 +202,31 @@ def nlmeans_threshold(u, cfg: DenoiseConfig) -> DenoiseReport:
 
     n_anchors = (h - p + 1, w - p + 1)
     counts = np.zeros(n_anchors, dtype=np.int64)
-    accepted = {}  # one packed bit per anchor and offset
+    accepted = {}  # per offset: anchor origin, crop shape and one bit per anchor
     for d, place in _pair_distances(u, p, c):
         for (tx, ty), anchors in place.items():
             acc = np.zeros(n_anchors, dtype=bool)
             acc[anchors] = True if tx == ty == 0 else d <= s2 * applied[ty + c, tx + c]
             counts += acc
-            accepted[tx, ty] = np.packbits(acc)
+            rows = np.flatnonzero(acc.any(axis=1))
+            if rows.size:  # an empty selection adds nothing
+                r0, r1 = rows[0], rows[-1] + 1
+                c0 = np.flatnonzero(acc[r0:r1].any(axis=0))[0]
+                crop = acc[r0:r1, c0:]
+                accepted[tx, ty] = (r0, c0, crop.shape, np.packbits(crop))
     counts = counts.astype(np.float64)
     inv = 1.0 / counts
-    # Row-major offset order; one float weight map is alive at a time.  With
-    # bits in {0, 1}, bits * (1 / counts) is bitwise acc / counts.
-    weights = (
-        (*t, np.unpackbits(accepted[t], count=inv.size).reshape(n_anchors) * inv)
-        for t in _offsets(c)
-        if t in accepted
-    )
-    denoised = _aggregate(u, p, weights)
+
+    def weights():
+        # Row-major offset order; one float weight map is alive at a time.
+        # With bits in {0, 1}, bits * (1 / counts) is bitwise acc / counts.
+        for t in _offsets(c):
+            if t in accepted:
+                r0, c0, shape, bits = accepted[t]
+                crop = np.unpackbits(bits, count=math.prod(shape)).reshape(shape)
+                yield *t, r0, c0, crop * inv[r0 : r0 + shape[0], c0:]
+
+    denoised = _aggregate(u, p, weights())
     return DenoiseReport(
         denoised=denoised,
         selected_counts=counts,
@@ -218,7 +240,7 @@ def nlmeans_classic(u, cfg: DenoiseConfig, h_bandwidth: float) -> DenoiseReport:
     distance with bandwidth ``h_bandwidth``, normalized over the window."""
     if h_bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    u = np.asarray(u, dtype=np.float64)
+    u = _as_image(u)
     p, c = cfg.patch_side, cfg.search_radius
     h, w = u.shape
     if h < p or w < p:
@@ -245,7 +267,7 @@ def nlmeans_classic(u, cfg: DenoiseConfig, h_bandwidth: float) -> DenoiseReport:
             w_t /= z
             sel += w_t > 0
             total += w_t
-            yield tx, ty, w_t
+            yield tx, ty, 0, 0, w_t
 
     denoised = _aggregate(u, p, normalized())
     return DenoiseReport(

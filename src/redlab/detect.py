@@ -174,7 +174,8 @@ def autosim_detection(
 
     ``P_map(t)`` is the background CDF of the statistic at its observed
     value and ``D_map(t) = 1`` iff ``P_map(t) <= nfa_max / |domain|``.
-    Masked offsets get ``P_map = 1`` and are never detected.
+    Masked offsets get ``P_map = 1`` and are never detected.  At ``nfa_max
+    >= |domain|`` every other offset is detected, and a warning says so.
     """
     if nfa_max < 0:
         raise ValueError("nfa_max must be nonnegative")
@@ -186,11 +187,9 @@ def autosim_detection(
     if laws.mask is not None:
         d_map &= laws.mask
     warnings = []
-    if model.degenerate and nfa_max >= values.size:
-        warnings.append(
-            "degenerate background model with nfa_max >= |domain|: "
-            "every offset is trivially detected"
-        )
+    if nfa_max >= values.size:  # q >= 1, and every P is at most 1
+        kind = "degenerate background model with " if model.degenerate else ""
+        warnings.append(f"{kind}nfa_max >= |domain|: every evaluated offset is detected")
     return DetectionResult(
         p_map=p_map,
         d_map=d_map,

@@ -841,6 +841,32 @@ def test_nfa_of_the_domain_size_detects_every_offset(tmp_path, capsys, nfa):
     assert "insufficient detections" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("image, model", [("planted", "exemplar"), ("planted", "white"),
+                                          ("constant", "exemplar")])  # fmt: skip
+def test_detect_warns_when_the_nfa_reaches_the_domain_size(tmp_path, capsys, image, model):
+    # q = nfa / |domain| reaches 1 at --nfa 1024 on a 32 x 32 image, so every
+    # offset is detected under any model; the word "degenerate" is kept for
+    # a degenerate model, here the exemplar of a constant image.
+    path = tmp_path / f"{image}.pgm"
+    if image == "planted":
+        planted_repeats(path)
+    else:
+        write_pgm(path, np.full((32, 32), 77.0))
+    seen = {}
+    for nfa in ("1023", "1024"):
+        out = tmp_path / nfa
+        argv = ["detect", str(path), "--patch", "4,4,6", "--nfa", nfa, "--model", model]
+        assert main(argv + ["--out", str(out)]) == 0
+        seen[nfa] = json.loads((out / "detection.json").read_text()), capsys.readouterr().err
+    assert seen["1023"][0]["warnings"] == [] and "warning" not in seen["1023"][1]
+    meta, err = seen["1024"]
+    assert meta["n_detected"] == 1024
+    (message,) = meta["warnings"]
+    assert "nfa_max >= |domain|" in message
+    assert ("degenerate" in message) == (image == "constant")
+    assert f"warning: {message}" in err
+
+
 @pytest.mark.parametrize("nfa, off_origin", [("0", "inf"), ("1e-300", "inf"), ("25", 0.0)])
 def test_denoise_nfa_edge_thresholds(tmp_path, stripe_image, nfa, off_origin):
     # 1 - 1e-300 / 25 rounds to the level 1, whose thresholds are infinite.

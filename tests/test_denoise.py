@@ -200,6 +200,26 @@ def test_constant_image_unchanged():
     assert np.allclose(report.denoised, u, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda u, cfg: nlmeans_threshold(u, cfg),
+        lambda u, cfg: nlmeans_classic(u, cfg, h_bandwidth=10.0),
+    ],
+    ids=["threshold", "classic"],
+)
+@pytest.mark.parametrize("bad", ["inf", "nan", "3-D"])
+def test_denoise_rejects_non_finite_or_non_2d_input(run, bad):
+    u = np.random.default_rng(9).standard_normal((12, 12))
+    if bad == "3-D":
+        u = np.stack([u, u], axis=-1)
+    else:
+        u[5, 7] = float(bad)
+    cfg = DenoiseConfig(sigma=1.0, patch_side=3, search_radius=2)
+    with pytest.raises(ValueError, match="non-finite|2-D"):
+        run(u, cfg)
+
+
 def test_image_smaller_than_patch_errors():
     cfg = DenoiseConfig(sigma=1.0, patch_side=9, search_radius=2, nfa_max=1.0)
     with pytest.raises(ValueError):
@@ -316,6 +336,88 @@ def test_threshold_mirror_uses_its_own_threshold(monkeypatch):
     assert np.array_equal(report.thresholds, a_map)
     assert np.array_equal(report.denoised, denoised)
     assert np.array_equal(report.selected_counts, counts)
+
+
+# One flat region in noise much stronger than sigma: offsets select mostly
+# inside it, so selections cover a band of rows or columns and some offsets
+# select nothing.  The aggregation box-sums each offset only from its first
+# selected row and column on; a sum cropped on the right as well differs
+# from the full-frame sum in the last bits.
+FLAT_REGIONS = {
+    "top": lambda h, w: np.s_[: h // 2],
+    "bottom": lambda h, w: np.s_[h // 2 :],
+    "middle-rows": lambda h, w: np.s_[h // 3 : 2 * h // 3],
+    "left": lambda h, w: np.s_[:, : w // 2],
+    "right": lambda h, w: np.s_[:, int(0.6 * w) :],
+}
+
+
+@pytest.mark.parametrize("mode", ["constant-mean", "per-offset"])
+@pytest.mark.parametrize("case", range(40))
+def test_threshold_matches_per_offset_loop_bitwise_on_sparse_selections(case, mode):
+    # Every flat region and sign of the gray levels, in noise of std 60 (std
+    # 5 in the last ten cases); shape, geometry and nfa are drawn at random.
+    flat, base = sorted(FLAT_REGIONS)[case % 5], (100.0, -100.0)[case // 5 % 2]
+    rng = np.random.default_rng([17, case])
+    shape = tuple(int(n) for n in rng.integers(12, 33, 2))
+    p, c = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+    u = base + (5.0 if case >= 30 else 60.0) * rng.standard_normal(shape)
+    u[FLAT_REGIONS[flat](*shape)] = base / 2
+    u = np.round(u) if rng.random() < 0.5 else u
+    cfg = DenoiseConfig(
+        sigma=25.0,
+        patch_side=p,
+        search_radius=c,
+        nfa_max=rng.uniform(0.0, (2 * c + 1) ** 2),
+        threshold_mode=mode,
+    )
+    report = nlmeans_threshold(u, cfg)
+    denoised, counts = loop_nlmeans_threshold(u, p, c, report.thresholds, 25.0**2)
+    assert np.array_equal(report.denoised, denoised)
+    assert np.array_equal(report.selected_counts, counts)
+
+
+def _tiny_scene(kind):
+    """The clean scenes of the benchmark's tiny denoise inputs, a 48 x 48
+    board of 8-pixel cells or period-8 stripes beside a flat band, plus
+    seeded noise of std 20."""
+    xs = np.arange(48)
+    if kind == "board":
+        clean = np.where((xs[:, None] // 8 + xs // 8) % 2 == 0, 220.0, 30.0)
+    else:
+        clean = np.tile(127.5 + 90.0 * np.sign(np.sin(2 * np.pi * xs / 8.0)), (48, 1))
+        clean[:, 28:] = 120.0
+    noise = 20.0 * np.random.default_rng(11).standard_normal(clean.shape)
+    return np.round(np.clip(clean + noise, 0.0, 255.0))
+
+
+@pytest.mark.parametrize(
+    "kind, mode, work",
+    [
+        # (calls, frame area summed): 25 distance passes over 53640 pixels,
+        # one cover per offset that selects anything, and the 51 x 51 count
+        # map.  Full-frame covers would take 49 x 51 x 51 = 127449 pixels,
+        # for a total of 183690.
+        ("board", "constant-mean", (75, 177336)),
+        ("board", "per-offset", (75, 177336)),
+        ("stripes", "constant-mean", (75, 119376)),
+        ("stripes", "per-offset", (75, 122232)),
+    ],
+)
+def test_box_sum_work_on_the_tiny_scenes(monkeypatch, kind, mode, work):
+    import redlab.denoise as denoise_module
+
+    areas = []
+    box_sum = denoise_module._box_sum
+
+    def counted(buf, vals, p, pad=0):
+        areas.append((vals.shape[0] + 2 * pad) * (vals.shape[1] + 2 * pad))
+        return box_sum(buf, vals, p, pad)
+
+    monkeypatch.setattr(denoise_module, "_box_sum", counted)
+    cfg = DenoiseConfig(sigma=20.0, patch_side=4, search_radius=3, threshold_mode=mode)
+    nlmeans_threshold(_tiny_scene(kind), cfg)
+    assert (len(areas), sum(areas)) == work
 
 
 @pytest.mark.parametrize("case", range(len(AGREEMENT_CASES)))
