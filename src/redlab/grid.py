@@ -9,9 +9,8 @@ Conventions used across the package:
 * an *offset* is an integer translation ``t = (t_x, t_y)``.
 * an *offset map* is a ``(height, width)`` array whose value for offset
   ``t`` lives at ``map[t_y % height, t_x % width]``.
-* a patch is a ``p x p`` square.  Its pixels are listed in a fixed
-  canonical order (column-major: x varies slowest, then y), which matters
-  only to the covariance-matrix oracles of the tests.
+* a patch is a ``p x p`` square at an anchor; it wraps around the torus,
+  and a patch wider than a side covers some pixels more than once.
 """
 
 from __future__ import annotations
@@ -47,14 +46,6 @@ class PatchDomain:
     def size(self) -> int:
         return self.side * self.side
 
-    def coords(self) -> np.ndarray:
-        """Coordinates as an ``(n, 2)`` int array in canonical order."""
-        ax, ay = self.anchor
-        p = self.side
-        xs = np.repeat(np.arange(p), p) + ax
-        ys = np.tile(np.arange(p), p) + ay
-        return np.stack([xs, ys], axis=1)
-
 
 def _as_image(u) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
@@ -83,10 +74,14 @@ def as_map(u, patch: PatchDomain | list[PatchDomain]) -> np.ndarray:
     single = isinstance(patch, PatchDomain)
     patches = [patch] if single else patch
     h, w = u.shape
-    # Patch indicators on the torus (with multiplicities if coords collide).
+    # Patch indicators on the torus: the product of the wrapped row and
+    # column counts, which counts each pixel as often as the patch covers it.
     ind = np.zeros((len(patches), h, w))
-    for k, c in enumerate(p.coords() for p in patches):
-        np.add.at(ind[k], (c[:, 1] % h, c[:, 0] % w), 1.0)
+    for k, pd in enumerate(patches):
+        (ax, ay), r = pd.anchor, np.arange(pd.side)
+        ind[k] = np.outer(
+            np.bincount((ay + r) % h, minlength=h), np.bincount((ax + r) % w, minlength=w)
+        )
     # Periodic cross-correlations t -> sum_x a(x) b(x+t).
     v = u - u.mean()  # distances ignore a constant
     term1 = np.fft.irfft2(np.conj(np.fft.rfft2(ind)) * np.fft.rfft2(v * v), s=(h, w))

@@ -11,29 +11,22 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 
 __all__ = ["read_pgm", "write_pgm", "read_pfm", "write_pfm"]
 
 
+# A header token, or a comment running to the end of its line.
+_TOKEN = re.compile(rb"#[^\r\n]*|[^\s#]+")
+
+
 def _tokens(data: bytes):
     """Yield whitespace-separated header tokens, skipping # comments."""
-    i = 0
-    n = len(data)
-    while i < n:
-        c = data[i : i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < n and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-        else:
-            j = i
-            while j < n and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-                j += 1
-            yield data[i:j], j
-            i = j
+    for m in _TOKEN.finditer(data):
+        if not m[0].startswith(b"#"):
+            yield m[0], m.end()
 
 
 def _header(it, count: int) -> tuple[list[bytes], int]:

@@ -1,8 +1,9 @@
 """Lattice extraction from detection maps and texture periodicity ranking.
 
-Detected offsets, remapped to centered coordinates, are grouped into
-8-connected components (wrap-aware); each component contributes one graph
-vertex at its auto-similarity argmin, and vertices are linked to their
+Detected offsets are grouped into the 8-connected components of the torus,
+each grown by one flood fill over the flat indices of its cells.  A
+component contributes one graph vertex at its auto-similarity argmin
+(ties broken by the centered offset), and vertices are linked to their
 four nearest neighbors.  Edge vectors are then explained as integer
 combinations of a two-vector basis plus isotropic Gaussian noise, and the
 regularized least-squares energy
@@ -61,33 +62,6 @@ class DetectionGraph:
     n_components: int
 
 
-def _torus_components(d_map: np.ndarray) -> list[np.ndarray]:
-    """8-connected components of a binary offset map, wrap-aware."""
-    h, w = d_map.shape
-    cells = np.argwhere(d_map)
-    idx_of = {(int(iy), int(ix)): k for k, (iy, ix) in enumerate(cells)}
-    parent = list(range(len(cells)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for (iy, ix), k in idx_of.items():
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                j = idx_of.get(((iy + dy) % h, (ix + dx) % w))
-                if j is not None and j != k:
-                    ra, rb = find(k), find(j)
-                    if ra != rb:
-                        parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for k in range(len(cells)):
-        groups.setdefault(find(k), []).append(k)
-    return [cells[g] for g in groups.values()]
-
-
 def build_graph(d_map: np.ndarray, as_values: np.ndarray) -> DetectionGraph:
     """Detection graph: one vertex per component at the statistic's argmin
     (lexicographic tie-break), each linked to its four nearest neighbors.
@@ -99,24 +73,30 @@ def build_graph(d_map: np.ndarray, as_values: np.ndarray) -> DetectionGraph:
     if d_map.shape != np.asarray(as_values).shape:
         raise ValueError("map shape mismatch")
     h, w = d_map.shape
-    comps = _torus_components(d_map)
-    verts: list[tuple[int, int]] = []
-    for comp in comps:
-        if np.any((comp[:, 0] == 0) & (comp[:, 1] == 0)):
-            continue  # origin's component carries no repetition offset
-        ctx = (comp[:, 1] + w // 2) % w - w // 2  # oracles.centered_coords
-        cty = (comp[:, 0] + h // 2) % h - h // 2
-        keys = [(as_values[iy, ix], cx, cy) for (iy, ix), cx, cy in zip(comp, ctx, cty)]
-        best = min(range(len(comp)), key=keys.__getitem__)
-        verts.append((int(ctx[best]), int(cty[best])))
+    iy, ix = np.nonzero(d_map)
+    dy, dx = np.mgrid[-1:2, -1:2].reshape(2, 9)  # a cell and its 8 torus neighbours
+    cells = (iy * w + ix).tolist()
+    ring = ((iy[:, None] + dy) % h) * w + (ix[:, None] + dx) % w
+    near = dict(zip(cells, ring.tolist()))
+    ctx = (ix + w // 2) % w - w // 2  # oracles.centered_coords
+    cty = (iy + h // 2) % h - h // 2
+    key = dict(zip(cells, zip(as_values[iy, ix].tolist(), ctx.tolist(), cty.tolist())))
+    todo, n_components, verts = set(cells), 0, []
+    while todo:  # flood-fill one component
+        comp = [todo.pop()]
+        for cell in comp:
+            grown = todo.intersection(near[cell])
+            todo -= grown
+            comp.extend(grown)
+        n_components += 1
+        if 0 not in comp:  # the origin's component carries no repetition offset
+            verts.append(min(key[cell] for cell in comp)[1:])
     if len(verts) < 2:
         raise GraphTooSmall(f"{len(verts)} vertex(es); need at least 2")
     verts.sort()
     v = np.asarray(verts, dtype=np.int64)
     edges, vec = nearest_neighbor_edges(v)
-    return DetectionGraph(
-        vertices=v, edges=edges, edge_vectors=vec, n_components=len(comps)
-    )
+    return DetectionGraph(vertices=v, edges=edges, edge_vectors=vec, n_components=n_components)
 
 
 def nearest_neighbor_edges(vertices) -> tuple[np.ndarray, np.ndarray]:

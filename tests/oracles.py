@@ -14,13 +14,16 @@ auto-similarity of one offset and the loop map built from it, the
 nearest-neighbor edges from one tuple sort per vertex, and the
 NL-means loop that computes every offset's patch distances on its own,
 through freshly padded integral images.
-Independent references live here too: the law of an explicit spectrum,
-the closed-form white-noise spectrum of square patches, the offset
-correlation and increment covariance matrix, the dense white-noise
-increment covariance on the plane, a seeded Monte-Carlo CDF, and the
-co-occurrence inertia, a second formula for the auto-similarity.  They
-depend only on numpy, scipy's special functions, the model's
-autocorrelation and the patch coordinates, never on the code under test.
+Independent references live here too: a patch's pixel coordinates in
+canonical order, the law of an explicit spectrum, the closed-form
+white-noise spectrum of square patches, the offset correlation and
+increment covariance matrix, the dense white-noise increment covariance
+on the plane, a seeded Monte-Carlo CDF, and the co-occurrence inertia, a
+second formula for the auto-similarity.  They depend only on numpy,
+scipy's special functions, the model's autocorrelation and the patch
+coordinates, never on the code under test.  The reference detection
+graph finds its torus components by union-find over full offset grids, an
+algorithm the library's flood fill does not share.
 Last come two quantities that only the tests use: the centered offset
 grids of an offset map, and the paper's NL-means reconstruction bound,
 which builds on the library's white-noise thresholds.
@@ -55,6 +58,17 @@ _DEGENERATE_REL = 1e-12
 
 # Side cap (pixels) of the dense covariance matrices the oracles form.
 COV_SIDE_CAP = 4096
+
+
+def patch_coords(patch: PatchDomain) -> np.ndarray:
+    """A patch's pixel coordinates as an ``(n, 2)`` int array of ``(x, y)``
+    rows in canonical order (column-major: x varies slowest, then y); the
+    covariance-matrix oracles index their rows and columns in this order."""
+    ax, ay = patch.anchor
+    p = patch.side
+    xs = np.repeat(np.arange(p), p) + ax
+    ys = np.tile(np.arange(p), p) + ay
+    return np.stack([xs, ys], axis=1)
 
 
 def _patch_diff_table(coords: np.ndarray, shape: tuple[int, int]):
@@ -93,7 +107,7 @@ def dense_cumulants(model, t, patch) -> tuple[float, float, float]:
         d0 = 0.0
     if d0 <= 2.0 * _DEGENERATE_REL * g[0, 0]:
         return 0.0, 0.0, 0.0
-    uniq, ux, uy, inv, counts = _patch_diff_table(patch.coords(), (h, w))
+    uniq, ux, uy, inv, counts = _patch_diff_table(patch_coords(patch), (h, w))
     vals = (
         2.0 * gflat[uniq]
         - gflat[((uy + ty) % h) * w + (ux + tx) % w]
@@ -195,7 +209,7 @@ def auto_similarity(u, t, patch) -> float:
     evaluated directly with periodic coordinates."""
     u = np.asarray(u, dtype=np.float64)
     h, w = u.shape
-    c = patch.coords()
+    c = patch_coords(patch)
     base = u[c[:, 1] % h, c[:, 0] % w]
     shifted = u[(c[:, 1] + t[1]) % h, (c[:, 0] + t[0]) % w]
     return float(np.sum((shifted - base) ** 2))
@@ -247,7 +261,7 @@ def covariance_matrix(model, t, patch) -> np.ndarray:
         raise ValueError(f"patch size {n} exceeds covariance cap {COV_SIDE_CAP}")
     d = delta_map(model, t)
     h, w = model.shape
-    c = patch.coords()
+    c = patch_coords(patch)
     dx = c[:, 0][:, None] - c[:, 0][None, :]
     dy = c[:, 1][:, None] - c[:, 1][None, :]
     m = d[dy % h, dx % w]
@@ -257,7 +271,7 @@ def covariance_matrix(model, t, patch) -> np.ndarray:
 def white_noise_covariance(p: int, t) -> np.ndarray:
     """Increment covariance for unit white noise on the plane (no wrap),
     square ``p x p`` patch, canonical order."""
-    c = PatchDomain(side=p).coords()
+    c = patch_coords(PatchDomain(side=p))
     dx = c[:, 0][:, None] - c[:, 0][None, :]
     dy = c[:, 1][:, None] - c[:, 1][None, :]
     tx, ty = int(t[0]), int(t[1])
@@ -812,7 +826,7 @@ def inertia(u, t: tuple[int, int], patch: PatchDomain, n_gray: int | None = None
     if ui.max() > n_gray:
         raise ValueError("pixel values exceed n_gray")
     h, w = ui.shape
-    c = patch.coords()
+    c = patch_coords(patch)
     levels = n_gray + 1
     cooc = np.zeros((levels, levels), dtype=np.int64)
     i = ui[c[:, 1] % h, c[:, 0] % w]

@@ -4,6 +4,7 @@ from oracles import (
     covariance_matrix,
     delta_map,
     law_from_eigenvalues,
+    patch_coords,
     white_noise_covariance,
     white_noise_eigenvalues,
 )
@@ -127,7 +128,7 @@ def test_covariance_white_block_structure():
     model = white_noise((16, 16))
     c = covariance_matrix(model, t, PatchDomain(side=p))
     expected = 2.0 * np.eye(p * p)
-    coords = PatchDomain(side=p).coords()
+    coords = patch_coords(PatchDomain(side=p))
     for i, (x1, y1) in enumerate(coords):
         for j, (x2, y2) in enumerate(coords):
             if (x1 - x2, y1 - y2) in ((t[0], t[1]), (-t[0], -t[1])):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import as_map_naive, auto_similarity, centered_coords, inertia
+from oracles import as_map_naive, auto_similarity, centered_coords, inertia, patch_coords
 
 from redlab.grid import (
     PatchDomain,
@@ -33,7 +33,7 @@ def test_patch_domain_validation():
 
 def test_patch_canonical_order_is_x_major():
     pd = PatchDomain(anchor=(1, 2), side=2)
-    assert pd.coords().tolist() == [[1, 2], [1, 3], [2, 2], [2, 3]]
+    assert patch_coords(pd).tolist() == [[1, 2], [1, 3], [2, 2], [2, 3]]
 
 
 # ---------------------------------------------------------- auto-similarity
@@ -95,7 +95,11 @@ def test_as_map_matches_naive_all_offsets():
     scale = float(np.sum(u * u))
     assert np.allclose(fast, slow, rtol=1e-8, atol=1e-9 * scale)
     wrapped = PatchDomain(anchor=(14, 13), side=4)  # wraps on both axes
-    assert np.allclose(as_map(u, wrapped), as_map_naive(u, wrapped), rtol=1e-8, atol=1e-9 * scale)
+    # Wider than both sides at a negative anchor: each row and column of the
+    # image is covered 2 or 3 times.
+    oversize = PatchDomain(anchor=(-3, -21), side=37)
+    for pd in (wrapped, oversize):
+        assert np.allclose(as_map(u, pd), as_map_naive(u, pd), rtol=1e-8, atol=1e-9 * scale)
 
 
 def test_as_map_nonsquare_image_and_patch_list():

@@ -44,10 +44,16 @@ def test_pgm_ascii_roundtrip(tmp_path):
 
 def test_pgm_header_comments(tmp_path):
     path = tmp_path / "commented.pgm"
-    path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([1, 2, 3, 4]))
-    back, maxval = read_pgm(path)
-    assert maxval == 255
-    assert back.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    for raw in (
+        b"P5\n# a comment\n2 2\n255\n" + bytes([1, 2, 3, 4]),
+        b"P5\n# a comment ended by CR\r2 2\n255\n" + bytes([1, 2, 3, 4]),
+        b"P2\n2 2\n255#c\n1 2\n3 4\n",  # a comment glued to a token
+        b"P5\x0b2\x0c2\x0b255\x0c" + bytes([1, 2, 3, 4]),  # VT and FF are whitespace
+    ):
+        path.write_bytes(raw)
+        back, maxval = read_pgm(path)
+        assert maxval == 255
+        assert back.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_pgm_clips_and_rounds(tmp_path):

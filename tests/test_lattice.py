@@ -106,13 +106,27 @@ def test_graph_deterministic_tiebreak():
     assert [5, 5] in graph.vertices.tolist()
 
 
-@pytest.mark.parametrize("shape", [(16, 16), (9, 13), (2, 5)])
-def test_graph_matches_full_grid_build_on_random_maps(shape):
-    rng = np.random.default_rng(shape[0] * 31 + shape[1])
+def _graph_maps(rng, shape):
+    h, w = shape
     for trial in range(60):
         d_map = rng.random(shape) < rng.choice([0.03, 0.15, 0.4])
         d_map[0, :] |= trial % 3 == 0  # a band that wraps across the border
         d_map[:, -1] |= trial % 5 == 0
+        yield d_map
+    yield np.ones(shape, dtype=bool)  # every offset detected: one component
+    # Two cells joined only diagonally across the corner of the torus (the
+    # pair through the origin, then the other pair), beside two lone cells.
+    for corner in ([(h - 1, w - 1), (0, 0)], [(0, w - 1), (h - 1, 0)]):
+        d_map = np.zeros(shape, dtype=bool)
+        for iy, ix in corner + [(h // 2, w // 2), (h // 2, 2 % w)]:
+            d_map[iy, ix] = True
+        yield d_map
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (9, 13), (2, 5), (1, 1), (1, 7), (7, 1), (3, 3)])
+def test_graph_matches_full_grid_build_on_random_maps(shape):
+    rng = np.random.default_rng(shape[0] * 31 + shape[1])
+    for d_map in _graph_maps(rng, shape):
         # Integer values give ties, broken by the centered coordinates.
         values = rng.integers(0, 3, shape).astype(float)
         try:
