@@ -18,15 +18,13 @@ the same array on the anchor grid shifted by ``t``.  Each offset keeps its
 own threshold and float sums over offsets run in row-major order, so the
 outputs match a per-offset loop bit for bit.
 
-Each offset's pixel cover is box-summed only over the rows its selection
-spans and from its first selected column to the right edge: its bits are
-kept for that crop alone, and an offset that selects nothing is skipped.
-The crop gives the full-frame sums bit for bit.  Above and left of it the
-weights are 0.0, so the prefix sums there are exact zeros and ``0.0 + x ==
-x``; below it the box sum reads two equal prefix rows, ``((A - A) - C) + C
-== +0.0``; and the skipped additions are of ``+-0.0`` to a sum that starts
-at +0.0 and never becomes -0.0.  The right side is not cropped: there the
-full-frame sum ``((A - B) - A) + B`` can leave a nonzero round-off residue.
+Box sums are window sums along each axis, built by doubling.  Each sum
+reads only its own window, in an order fixed by ``p`` alone: it is exact
+whenever its partial sums are, as for the squared distances of an integer
+image, and a window of zeros sums to +0.0.  So each offset's pixel cover
+is box-summed only over the bounding box of its selection, with the
+full-frame sums bit for bit: its bits are kept for that crop alone, and
+an offset that selects nothing is skipped.
 """
 
 from __future__ import annotations
@@ -122,19 +120,32 @@ def nlmeans_a_priori_threshold(
     return a_map, mean_a
 
 
-def _box_sum(buf: np.ndarray, vals: np.ndarray, p: int, pad: int = 0) -> np.ndarray:
-    """Exact sums over every p x p window of ``vals`` framed by ``pad`` zeros,
-    from prefix sums taken in place in the top-left corner of ``buf``, a
-    reused buffer whose first row and column stay zero."""
-    n, m = vals.shape[0] + 2 * pad, vals.shape[1] + 2 * pad
-    s = buf[: n + 1, : m + 1]
-    if pad:
-        s[1 : pad + 1, 1:] = s[n + 1 - pad :, 1:] = 0.0
-        s[1:, 1 : pad + 1] = s[1:, m + 1 - pad :] = 0.0
-    s[pad + 1 : n + 1 - pad, pad + 1 : m + 1 - pad] = vals
-    np.cumsum(s, axis=0, out=s)
-    np.cumsum(s, axis=1, out=s)
-    return s[p:, p:] - s[:-p, p:] - s[p:, :-p] + s[:-p, :-p]
+def _window_sums(vals: np.ndarray, p: int, axis: int) -> np.ndarray:
+    """Sums of ``p`` consecutive entries of ``vals`` along ``axis`` (0 or 1),
+    one for each first entry where they fit.
+
+    ``run`` holds the sums of ``width`` consecutive entries, for width 1,
+    2, 4, ...; each window adds the runs of the set bits of ``p``, lowest
+    bit first, from its first entry on.  A sum reads only its own window.
+    """
+    run = np.moveaxis(vals, axis, 0)  # a view: the sums run down its rows
+    n = run.shape[0] - p + 1
+    width, start, out = 1, 0, None
+    while True:
+        if p & width:
+            part = run[start : start + n]
+            out = part if out is None else out + part
+            start += width
+        if 2 * width > p:
+            return np.moveaxis(out, 0, axis)
+        run = run[:-width] + run[width:]
+        width *= 2
+
+
+def _box_sum(vals: np.ndarray, p: int) -> np.ndarray:
+    """Sums over every p x p window of ``vals``, one for each top-left
+    entry where the window fits."""
+    return _window_sums(_window_sums(vals, p, 0), p, 1)
 
 
 def _offsets(c: int) -> list[tuple[int, int]]:
@@ -148,7 +159,6 @@ def _pair_distances(u: np.ndarray, p: int, c: int):
     grid where ``d`` applies, for each ``t`` first of its pair in row-major
     order whose windows fit somewhere."""
     h, w = u.shape
-    buf = np.zeros((h + 1, w + 1))
     for tx, ty in _offsets(c)[: 2 * c * (c + 1) + 1]:  # up to the origin
         ax_lo, ax_hi = max(0, -tx), w - p - max(0, tx)
         ay_lo, ay_hi = max(0, -ty), h - p - max(0, ty)
@@ -158,25 +168,24 @@ def _pair_distances(u: np.ndarray, p: int, c: int):
         diff = diff - u[ay_lo : ay_hi + p, ax_lo : ax_hi + p]
         ys, xs = slice(ay_lo, ay_hi + 1), slice(ax_lo, ax_hi + 1)
         mirror = (slice(ys.start + ty, ys.stop + ty), slice(xs.start + tx, xs.stop + tx))
-        yield _box_sum(buf, diff * diff, p), {(tx, ty): (ys, xs), (-tx, -ty): mirror}
+        yield _box_sum(diff * diff, p), {(tx, ty): (ys, xs), (-tx, -ty): mirror}
 
 
 def _aggregate(u: np.ndarray, p: int, weights: Iterable) -> np.ndarray:
     """Pixel estimates from per-offset anchor weights (each summing to one
     over offsets at every anchor), accumulated in the order given.  Each
     item ``(tx, ty, r0, c0, w_t)`` holds the weights of the anchors from
-    row ``r0`` and column ``c0`` on, through the last anchor column; every
+    row ``r0`` and column ``c0`` on, over the shape of ``w_t``; every
     weight outside that crop is zero."""
     h, w = u.shape
-    buf = np.zeros((h + p, w + p))
     out = np.zeros((h, w))
     for tx, ty, r0, c0, w_t in weights:
-        cover = _box_sum(buf, w_t, p, p - 1)  # pixel rows r0.., columns c0..w
+        cover = _box_sum(np.pad(w_t, p - 1), p)  # pixels from row r0, column c0
         y0, y1 = max(r0, -ty), min(r0 + cover.shape[0], h - max(0, ty))
-        x0, x1 = max(c0, -tx), w - max(0, tx)
+        x0, x1 = max(c0, -tx), min(c0 + cover.shape[1], w - max(0, tx))
         src = u[y0 + ty : y1 + ty, x0 + tx : x1 + tx]
         out[y0:y1, x0:x1] += src * cover[y0 - r0 : y1 - r0, x0 - c0 : x1 - c0]
-    counts = _box_sum(buf, np.ones((h - p + 1, w - p + 1)), p, p - 1)
+    counts = _box_sum(np.pad(np.ones((h - p + 1, w - p + 1)), p - 1), p)
     return out / counts
 
 
@@ -208,12 +217,10 @@ def nlmeans_threshold(u, cfg: DenoiseConfig) -> DenoiseReport:
             acc = np.zeros(n_anchors, dtype=bool)
             acc[anchors] = True if tx == ty == 0 else d <= s2 * applied[ty + c, tx + c]
             counts += acc
-            rows = np.flatnonzero(acc.any(axis=1))
+            rows, cols = np.flatnonzero(acc.any(axis=1)), np.flatnonzero(acc.any(axis=0))
             if rows.size:  # an empty selection adds nothing
-                r0, r1 = rows[0], rows[-1] + 1
-                c0 = np.flatnonzero(acc[r0:r1].any(axis=0))[0]
-                crop = acc[r0:r1, c0:]
-                accepted[tx, ty] = (r0, c0, crop.shape, np.packbits(crop))
+                crop = acc[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+                accepted[tx, ty] = (rows[0], cols[0], crop.shape, np.packbits(crop))
     counts = counts.astype(np.float64)
     inv = 1.0 / counts
 
@@ -224,7 +231,7 @@ def nlmeans_threshold(u, cfg: DenoiseConfig) -> DenoiseReport:
             if t in accepted:
                 r0, c0, shape, bits = accepted[t]
                 crop = np.unpackbits(bits, count=math.prod(shape)).reshape(shape)
-                yield *t, r0, c0, crop * inv[r0 : r0 + shape[0], c0:]
+                yield *t, r0, c0, crop * inv[r0 : r0 + shape[0], c0 : c0 + shape[1]]
 
     denoised = _aggregate(u, p, weights())
     return DenoiseReport(

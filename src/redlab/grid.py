@@ -26,8 +26,9 @@ __all__ = [
     "laplacian",
 ]
 
-# Relative clamp applied to FFT auto-similarity values so exact repeats
-# come out as exactly zero (detection compares against tiny quantiles).
+# Clamp, relative to the centered energy, applied to FFT auto-similarity
+# values so exact repeats come out as exactly zero (detection compares
+# against tiny quantiles).
 AS_CLAMP_REL = 1e-9
 
 
@@ -63,8 +64,9 @@ def as_map(u, patch: PatchDomain | list[PatchDomain]) -> np.ndarray:
     sums round relative to its variance, not its energy) into a
     patch-masked energy term, a cross term and a constant; both
     offset-dependent sums are periodic cross-correlations.  Values below
-    ``1e-9 * ||u||^2`` are clamped to zero so exact repeats beat any
-    positive threshold.
+    ``1e-9 * ||u - mean(u)||^2`` are clamped to zero so exact repeats beat
+    any positive threshold.  The clamp takes the centered energy, as the
+    values do, so a constant added to ``u`` leaves both on one scale.
 
     ``patch`` may also be a sequence of ``K`` patches: the image is then
     transformed once, and map ``k`` of the ``(K, h, w)`` result is bit for
@@ -87,7 +89,7 @@ def as_map(u, patch: PatchDomain | list[PatchDomain]) -> np.ndarray:
     term1 = np.fft.irfft2(np.conj(np.fft.rfft2(ind)) * np.fft.rfft2(v * v), s=(h, w))
     term2 = np.fft.irfft2(np.conj(np.fft.rfft2(ind * v)) * np.fft.rfft2(v), s=(h, w))
     out = term1 - 2.0 * term2 + term1[:, :1, :1]
-    clamp = AS_CLAMP_REL * float(np.sum(u * u))
+    clamp = AS_CLAMP_REL * float(np.sum(v * v))
     out[out < clamp] = 0.0
     return out[0] if single else out
 

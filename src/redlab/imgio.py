@@ -5,6 +5,11 @@ required by the format; the binary ``P5`` and ASCII ``P2`` flavors are
 read, and ``P5`` is written.  PFM (grayscale ``Pf``, little-endian,
 scanlines stored bottom-to-top) carries real-valued maps such as
 probability maps.
+
+The readers follow the Netpbm rules: header fields and ASCII samples are
+unsigned decimal digits (PFM's scale a decimal float), every sample lies
+in ``[0, maxval]``, and a comment may end the header, in which case the
+raster starts after the comment's line end.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ __all__ = ["read_pgm", "write_pgm", "read_pfm", "write_pfm"]
 
 # A header token, or a comment running to the end of its line.
 _TOKEN = re.compile(rb"#[^\r\n]*|[^\s#]+")
+_COMMENT = re.compile(rb"#[^\r\n]*")
+_FLOAT = re.compile(rb"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
 
 def _tokens(data: bytes):
@@ -37,6 +44,21 @@ def _header(it, count: int) -> tuple[list[bytes], int]:
     if len(fields) < count:
         raise ValueError("truncated header")
     return fields, end
+
+
+def _raster_start(data: bytes, end: int) -> int:
+    """Offset of a binary raster whose header's last token ends at ``end``:
+    past one whitespace byte, or past the line end of a comment glued to
+    that token."""
+    comment = _COMMENT.match(data, end)
+    return (comment.end() if comment else end) + 1
+
+
+def _uint(tok: bytes, what: str) -> int:
+    """A field of unsigned decimal digits (no sign, no underscore)."""
+    if not tok.isdigit():
+        raise ValueError(f"invalid {what} {tok!r}")
+    return int(tok)
 
 
 def _read(path, parse):
@@ -64,28 +86,27 @@ def _parse_pgm(data: bytes) -> tuple[np.ndarray, int]:
     if magic not in (b"P2", b"P5"):
         raise ValueError(f"not a PGM file (magic {magic!r})")
     (width, height, maxval), end = _header(it, 3)
-    width, height, maxval = int(width), int(height), int(maxval)
+    width, height = _uint(width, "PGM width"), _uint(height, "PGM height")
+    maxval = _uint(maxval, "PGM maxval")
     if not (0 < maxval < 65536):
         raise ValueError(f"invalid PGM maxval {maxval}")
     n = width * height
     if magic == b"P2":
-        vals = []
-        for tok, _ in it:
-            vals.append(int(tok))
-            if len(vals) == n:
-                break
-        if len(vals) != n:
+        samples = [_uint(tok, "PGM sample") for tok, _ in itertools.islice(it, n)]
+        if len(samples) != n:
             raise ValueError("truncated ASCII PGM")
-        arr = np.array(vals, dtype=np.float64)
+        top = max(samples, default=0)
     else:
-        # Binary data begins after exactly one whitespace byte.
-        start = end + 1
+        start = _raster_start(data, end)
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         raw = data[start : start + n * dtype.itemsize]
         if len(raw) != n * dtype.itemsize:
             raise ValueError("truncated binary PGM")
-        arr = np.frombuffer(raw, dtype=dtype).astype(np.float64)
-    return arr.reshape(height, width), maxval
+        samples = np.frombuffer(raw, dtype=dtype)
+        top = int(samples.max(initial=0))
+    if top > maxval:
+        raise ValueError(f"PGM sample {top} above maxval {maxval}")
+    return np.array(samples, dtype=np.float64).reshape(height, width), maxval
 
 
 def write_pgm(path, image, maxval: int = 255) -> None:
@@ -115,11 +136,14 @@ def _parse_pfm(data: bytes) -> np.ndarray:
     if magic != b"Pf":
         raise ValueError(f"not a grayscale PFM file (magic {magic!r})")
     (width, height, scale), end = _header(it, 3)
-    width, height, scale = int(width), int(height), float(scale)
+    width, height = _uint(width, "PFM width"), _uint(height, "PFM height")
+    if not _FLOAT.fullmatch(scale):
+        raise ValueError(f"invalid PFM scale {scale!r}")
+    scale = float(scale)
     if scale == 0.0 or not math.isfinite(scale):
         raise ValueError(f"invalid PFM scale {scale}")
     dtype = np.dtype("<f4") if scale < 0 else np.dtype(">f4")
-    start = end + 1
+    start = _raster_start(data, end)
     n = width * height
     raw = data[start : start + 4 * n]
     if len(raw) != 4 * n:

@@ -12,8 +12,9 @@ with the vectorised table copies they once had, the NL-means
 thresholds from one law per class of equal offsets, the direct
 auto-similarity of one offset and the loop map built from it, the
 nearest-neighbor edges from one tuple sort per vertex, and the
-NL-means loop that computes every offset's patch distances on its own,
-through freshly padded integral images.
+NL-means loop that computes every offset's patch distances and covers
+on its own, over the full frame, with window sums taken window by window
+as balanced pairwise sums.
 Independent references live here too: a patch's pixel coordinates in
 canonical order, the law of an explicit spectrum, the closed-form
 white-noise spectrum of square patches, the offset correlation and
@@ -31,6 +32,7 @@ which builds on the library's white-noise thresholds.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -603,10 +605,29 @@ def anchor_loop_scores(u, n_anchors, patch_side, nfa_max, delta_m, delta_b, n_it
 # ------------------------------------------------------------ NL-means
 
 
+def _pairwise(block: np.ndarray) -> np.ndarray:
+    """Balanced pairwise sums over the last axis, of length a power of 2."""
+    if block.shape[-1] == 1:
+        return block[..., 0]
+    half = block.shape[-1] // 2
+    return _pairwise(block[..., :half]) + _pairwise(block[..., half:])
+
+
 def _sliding_sum(img: np.ndarray, p: int) -> np.ndarray:
-    """Exact p x p window sums; output anchors at every valid top-left."""
-    s = np.cumsum(np.cumsum(np.pad(img, ((1, 0), (1, 0))), axis=0), axis=1)
-    return s[p:, p:] - s[:-p, p:] - s[p:, :-p] + s[:-p, :-p]
+    """p x p window sums, anchored at every valid top-left: along axis 0,
+    then axis 1, each window is the left-to-right sum of the balanced
+    pairwise sums of its blocks, one block of 2^k entries per set bit k of
+    p, the lowest bit's block first."""
+    sizes = [1 << k for k in range(p.bit_length()) if p >> k & 1]
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    out = np.asarray(img, dtype=np.float64)
+    for axis in (0, 1):
+        windows = sliding_window_view(out, p, axis=axis)
+        blocks = [_pairwise(windows[..., a : a + n]) for a, n in zip(starts, sizes)]
+        out = blocks[0]
+        for block in blocks[1:]:
+            out = out + block
+    return out
 
 
 def _cover_sum(anchor_vals: np.ndarray, p: int, shape: tuple[int, int]) -> np.ndarray:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_imgio import NOT_NETPBM_PGM
 
 from redlab.background import from_exemplar
 from redlab.cli import _build_parser, main
@@ -137,6 +138,18 @@ def test_detect_calibration_harness(tmp_path):
     counts = np.array(counts, dtype=float)
     se = counts.std(ddof=1) / np.sqrt(len(counts)) if counts.std() > 0 else 0.3
     assert counts.mean() <= 1.0 + 3 * se + 1e-9
+
+
+def test_bright_16bit_noise_detects_nothing(tmp_path):
+    # White noise of std 5 on a gray level of 30000: the as_map clamp is a
+    # fraction of the centered energy, so the bright mean does not turn
+    # noise into exact repeats.
+    rng = np.random.default_rng(8)
+    path = tmp_path / "bright.pgm"
+    write_pgm(path, 30000.0 + 5.0 * rng.standard_normal((64, 64)), maxval=65535)
+    out = tmp_path / "out"
+    assert main(["detect", str(path), "--patch", "5,5,8", "--nfa", "1", "--out", str(out)]) == 0
+    assert json.loads((out / "detection.json").read_text())["n_detected"] == 0
 
 
 def test_detect_reruns_bit_identical(tmp_path, stripe_image):
@@ -688,6 +701,14 @@ def test_truncated_header_exits_2_naming_the_file(tmp_path, capsys, argv):
     argv = [a.format(bad=bad, dir=imgdir) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert "b_cut.pgm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(NOT_NETPBM_PGM))
+def test_a_pgm_outside_netpbm_exits_2_naming_the_file(tmp_path, capsys, case):
+    bad = tmp_path / "odd.pgm"
+    bad.write_bytes(NOT_NETPBM_PGM[case])
+    assert main(["detect", str(bad), "--patch", "0,0,1", "--out", str(tmp_path / "out")]) == 2
+    assert "odd.pgm" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

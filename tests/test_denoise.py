@@ -5,10 +5,13 @@ import warnings
 import numpy as np
 import pytest
 from oracles import loop_nlmeans_classic, loop_nlmeans_threshold, reconstruction_bound
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special, stats
 
 from redlab.denoise import (
     DenoiseConfig,
+    _box_sum,
+    _window_sums,
     nlmeans_a_priori_threshold,
     nlmeans_classic,
     nlmeans_threshold,
@@ -17,7 +20,7 @@ from redlab.denoise import (
 
 
 def naive_threshold_nlmeans(u, p, c, accept_fn):
-    """Patch-by-patch reference implementation (no integral images)."""
+    """Patch-by-patch reference implementation (no box sums)."""
     h, w = u.shape
     p_hat = {}
     for ay in range(h - p + 1):
@@ -340,9 +343,8 @@ def test_threshold_mirror_uses_its_own_threshold(monkeypatch):
 
 # One flat region in noise much stronger than sigma: offsets select mostly
 # inside it, so selections cover a band of rows or columns and some offsets
-# select nothing.  The aggregation box-sums each offset only from its first
-# selected row and column on; a sum cropped on the right as well differs
-# from the full-frame sum in the last bits.
+# select nothing.  The aggregation box-sums each offset only over the
+# bounding box of its selection.
 FLAT_REGIONS = {
     "top": lambda h, w: np.s_[: h // 2],
     "bottom": lambda h, w: np.s_[h // 2 :],
@@ -377,6 +379,52 @@ def test_threshold_matches_per_offset_loop_bitwise_on_sparse_selections(case, mo
     assert np.array_equal(report.selected_counts, counts)
 
 
+# ------------------------------------------------------------- window sums
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_window_sums_of_integers_are_exact(axis):
+    # Every partial sum is an integer below 2^53, so any order is exact.
+    vals = np.random.default_rng(5).integers(-(2**30), 2**30, (45, 47)).astype(np.float64)
+    for p in range(1, 21):
+        want = sliding_window_view(vals, p, axis=axis).sum(axis=-1)
+        assert np.array_equal(_window_sums(vals, p, axis), want)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_window_sums_of_floats_stay_near_fsum(axis):
+    # An entry passes through at most p.bit_length() additions on its way
+    # into a window sum, so the error is at most about that many half-ulps
+    # of the sum of magnitudes; the bound allows twice that.
+    rng = np.random.default_rng(6)
+    vals = rng.standard_normal((30, 31)) * 10.0 ** rng.integers(-6, 7, (30, 31))
+    for p in range(1, 21):
+        got = _window_sums(vals, p, axis)
+        windows = sliding_window_view(vals, p, axis=axis)
+        for index in np.ndindex(got.shape):
+            window = windows[index]
+            bound = p.bit_length() * 2.0**-52 * math.fsum(np.abs(window))
+            assert abs(got[index] - math.fsum(window)) <= bound
+
+
+def test_a_window_of_zeros_sums_to_plus_zero():
+    # Zeros all round a block of data.  Along one axis, prefix sums too give
+    # +0.0 there, as A - A; but their 2-D box sum ((A - B) - A) + B leaves a
+    # round-off residue right of and below the block.
+    rng = np.random.default_rng(7)
+    vals = np.zeros((40, 40))
+    vals[12:28, 12:28] = rng.standard_normal((16, 16)) * 10.0 ** rng.integers(-8, 9, (16, 16))
+    for p in range(1, 13):
+        starts = np.arange(41 - p)
+        clear = (starts + p <= 12) | (starts >= 28)  # windows clear of the block
+        for sums in (
+            _window_sums(vals, p, 0)[clear],
+            _window_sums(vals, p, 1)[:, clear],
+            _box_sum(vals, p)[clear[:, None] | clear],
+        ):
+            assert np.all(sums == 0.0) and not np.any(np.signbit(sums))
+
+
 def _tiny_scene(kind):
     """The clean scenes of the benchmark's tiny denoise inputs, a 48 x 48
     board of 8-pixel cells or period-8 stripes beside a flat band, plus
@@ -395,13 +443,14 @@ def _tiny_scene(kind):
     "kind, mode, work",
     [
         # (calls, frame area summed): 25 distance passes over 53640 pixels,
-        # one cover per offset that selects anything, and the 51 x 51 count
+        # one cover per offset that selects anything, each over the bounding
+        # box of its selection framed by p - 1 zeros, and the 51 x 51 count
         # map.  Full-frame covers would take 49 x 51 x 51 = 127449 pixels,
         # for a total of 183690.
-        ("board", "constant-mean", (75, 177336)),
-        ("board", "per-offset", (75, 177336)),
-        ("stripes", "constant-mean", (75, 119376)),
-        ("stripes", "per-offset", (75, 122232)),
+        ("board", "constant-mean", (75, 175266)),
+        ("board", "per-offset", (75, 175266)),
+        ("stripes", "constant-mean", (75, 117306)),
+        ("stripes", "per-offset", (75, 120162)),
     ],
 )
 def test_box_sum_work_on_the_tiny_scenes(monkeypatch, kind, mode, work):
@@ -410,9 +459,9 @@ def test_box_sum_work_on_the_tiny_scenes(monkeypatch, kind, mode, work):
     areas = []
     box_sum = denoise_module._box_sum
 
-    def counted(buf, vals, p, pad=0):
-        areas.append((vals.shape[0] + 2 * pad) * (vals.shape[1] + 2 * pad))
-        return box_sum(buf, vals, p, pad)
+    def counted(vals, p):
+        areas.append(vals.size)
+        return box_sum(vals, p)
 
     monkeypatch.setattr(denoise_module, "_box_sum", counted)
     cfg = DenoiseConfig(sigma=20.0, patch_side=4, search_radius=3, threshold_mode=mode)

@@ -143,3 +143,45 @@ def test_pfm_rejects_zero_and_non_finite_scale(tmp_path, scale):
     path.write_bytes(b"Pf\n2 1\n" + scale + b"\n" + np.ones(2, dtype="<f4").tobytes())
     with pytest.raises(ValueError, match="scale"):
         read_pfm(path)
+
+
+# ------------------------------------------------------- the Netpbm rules
+
+
+def test_a_comment_glued_to_maxval_or_scale_ends_the_header(tmp_path):
+    # The raster starts after the comment's line end, not inside the comment.
+    path = tmp_path / "glued.pgm"
+    path.write_bytes(b"P5\n2 2\n255#c\n" + bytes([1, 2, 3, 4]))
+    assert read_pgm(path)[0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    path = tmp_path / "glued.pfm"
+    path.write_bytes(b"Pf\n1 1\n-1.0#x\n" + np.array([3.0], dtype="<f4").tobytes())
+    assert read_pfm(path).tolist() == [[3.0]]
+
+
+NOT_NETPBM_PGM = {
+    "P2 sample above maxval": b"P2 2 1 10 300 5",
+    "P5 sample above maxval": b"P5\n2 1\n200\n" + bytes([255, 1]),
+    "16-bit P5 sample above maxval": b"P5\n1 1\n1000\n" + bytes([3, 233]),
+    "negative sample": b"P2 2 1 10 -5 3",
+    "signed sample": b"P2 2 1 10 +5 3",
+    "underscore in a sample": b"P2 2 1 255 5_0 3",
+    "underscore in the width": b"P2 1_0 1 255 " + b"1 " * 10,
+    "underscore in maxval": b"P5 2 1 0_255 " + bytes([1, 2]),
+    "signed height": b"P5 2 +1 255 " + bytes([1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_NETPBM_PGM))
+def test_pgm_outside_netpbm_names_the_file(tmp_path, case):
+    path = tmp_path / "odd.pgm"
+    path.write_bytes(NOT_NETPBM_PGM[case])
+    with pytest.raises(ValueError, match="odd.pgm"):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("header", [b"Pf\n1 1\n-1_0\n", b"Pf\n+1 1\n-1.0\n", b"Pf\n1 1\n0x1p0\n"])
+def test_pfm_outside_netpbm_names_the_file(tmp_path, header):
+    path = tmp_path / "odd.pfm"
+    path.write_bytes(header + np.ones(1, dtype="<f4").tobytes())
+    with pytest.raises(ValueError, match="odd.pfm"):
+        read_pfm(path)
