@@ -280,10 +280,8 @@ def cumulants(model: MicrotextureModel, t, patch: PatchDomain) -> QuadFormLaw:
 
 def sample(model: MicrotextureModel, seed_or_rng) -> np.ndarray:
     """One draw of ``f * W`` via the spectral product; seeded and exact up
-    to FFT round-off."""
-    rng = np.random.default_rng(seed_or_rng) if not isinstance(
-        seed_or_rng, np.random.Generator
-    ) else seed_or_rng
-    w = rng.standard_normal(model.shape)
+    to FFT round-off.  A ``Generator`` is drawn from, continuing its
+    stream; anything else seeds a new one."""
+    w = np.random.default_rng(seed_or_rng).standard_normal(model.shape)
     spec = np.fft.rfft2(model.kernel) * np.fft.rfft2(w)
     return np.fft.irfft2(spec, s=model.shape)

@@ -183,9 +183,11 @@ def _cmd_denoise(args):
 
 
 def _lattice_points_in_bounds(anchor, basis, shape, cap=10000):
-    """Integer-combination lattice points inside the image, grown from the
-    anchor by breadth-first search."""
+    """Integer-combination lattice points inside the image, grown by
+    breadth-first search from the anchor wrapped into the image (patches
+    wrap, so anchors a period apart fit the same lattice)."""
     h, w = shape
+    anchor = (anchor[0] % w, anchor[1] % h)
     seen = {(0, 0)}
     frontier = [(0, 0)]
     points = []
@@ -215,9 +217,10 @@ def _cmd_lattice(args):
     domain = PatchDomain(anchor=(x, y), side=p)
     laws = detect.offset_laws(background.from_exemplar(work), domain)
     values = as_map(work, domain)
+    a_map = laws.quantile_map(args.nfa / values.size)
     try:
         graph, fit, score = lattice.fit_anchor(
-            laws, values, args.nfa / values.size, args.dB, args.dM, args.iters, args.init, args.seed
+            a_map, values, args.dB, args.dM, args.iters, args.init, args.seed
         )
     except lattice.GraphTooSmall as exc:
         print(f"insufficient detections: {exc}", file=sys.stderr)

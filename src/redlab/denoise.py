@@ -114,7 +114,7 @@ def nlmeans_a_priori_threshold(
         window = np.zeros((side, side), dtype=bool)
         window[ty, tx] = True
         laws = offset_laws(white_noise((side, side)), PatchDomain(side=p), mask=window)
-        a_map = laws.quantile_map(1.0 - nfa_max / n_t)[ty, tx]  # copies the read-only map
+        a_map = laws.quantile_map(1.0 - nfa_max / n_t)[ty, tx]
         a_map[c, c] = 0.0  # the origin's point mass has an infinite threshold at q = 1
     mean_a = float(a_map.sum() / (n_t - 1)) if n_t > 1 else 0.0
     return a_map, mean_a
@@ -175,16 +175,16 @@ def _aggregate(u: np.ndarray, p: int, weights: Iterable) -> np.ndarray:
     """Pixel estimates from per-offset anchor weights (each summing to one
     over offsets at every anchor), accumulated in the order given.  Each
     item ``(tx, ty, r0, c0, w_t)`` holds the weights of the anchors from
-    row ``r0`` and column ``c0`` on, over the shape of ``w_t``; every
-    weight outside that crop is zero."""
+    row ``r0`` and column ``c0`` on, over the shape of ``w_t``, a crop of
+    the anchors whose windows at ``t`` fit in the image; every weight
+    outside it is zero.  So the pixels each crop covers, shifted by ``t``,
+    lie in the image."""
     h, w = u.shape
     out = np.zeros((h, w))
     for tx, ty, r0, c0, w_t in weights:
         cover = _box_sum(np.pad(w_t, p - 1), p)  # pixels from row r0, column c0
-        y0, y1 = max(r0, -ty), min(r0 + cover.shape[0], h - max(0, ty))
-        x0, x1 = max(c0, -tx), min(c0 + cover.shape[1], w - max(0, tx))
-        src = u[y0 + ty : y1 + ty, x0 + tx : x1 + tx]
-        out[y0:y1, x0:x1] += src * cover[y0 - r0 : y1 - r0, x0 - c0 : x1 - c0]
+        y1, x1 = r0 + cover.shape[0], c0 + cover.shape[1]
+        out[r0:y1, c0:x1] += u[r0 + ty : y1 + ty, c0 + tx : x1 + tx] * cover
     counts = _box_sum(np.pad(np.ones((h - p + 1, w - p + 1)), p - 1), p)
     return out / counts
 
@@ -244,7 +244,9 @@ def nlmeans_threshold(u, cfg: DenoiseConfig) -> DenoiseReport:
 
 def nlmeans_classic(u, cfg: DenoiseConfig, h_bandwidth: float) -> DenoiseReport:
     """Classical NL-means: exponential weights in the squared patch
-    distance with bandwidth ``h_bandwidth``, normalized over the window."""
+    distance with bandwidth ``h_bandwidth``, normalized over the window.
+    Each offset's weights are aggregated as the crop of the anchors where
+    its windows fit, as the threshold variant aggregates its selections."""
     if h_bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     u = _as_image(u)
@@ -266,15 +268,12 @@ def nlmeans_classic(u, cfg: DenoiseConfig, h_bandwidth: float) -> DenoiseReport:
     total = np.zeros(n_anchors)
 
     def normalized():
-        # One full weight map is alive at a time, beside the raw pair maps.
-        nonlocal sel, total
-        for (tx, ty), (w_pair, anchors) in raw.items():
-            w_t = np.zeros(n_anchors)
-            w_t[anchors] = w_pair
-            w_t /= z
-            sel += w_t > 0
-            total += w_t
-            yield tx, ty, 0, 0, w_t
+        # One weight crop is alive at a time, beside the raw pair maps.
+        for (tx, ty), (w_pair, (ys, xs)) in raw.items():
+            w_t = w_pair / z[ys, xs]
+            sel[ys, xs] += w_t > 0
+            total[ys, xs] += w_t
+            yield tx, ty, ys.start, xs.start, w_t
 
     denoised = _aggregate(u, p, normalized())
     return DenoiseReport(

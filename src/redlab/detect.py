@@ -40,14 +40,13 @@ class OffsetLawTable(WoodFParams):
     The table is one array :class:`~redlab.quadform.WoodFParams` whose
     ``(h, w)`` fields are indexed like an offset map, so its maps evaluate
     through :func:`~redlab.quadform.cdf` and
-    :func:`~redlab.quadform.quantile`; the table only applies ``mask`` and
-    keeps each quantile map it has computed.  ``evaluated`` is the number
-    of offsets the cumulant engine evaluated; the others copy their law.
+    :func:`~redlab.quadform.quantile`; the table only applies ``mask``
+    and keeps no state of its own.  ``evaluated`` is the number of offsets
+    the cumulant engine evaluated; the others copy their law.
     """
 
     mask: np.ndarray | None = None
     evaluated: int = 0
-    _quantiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def fallback_counts(self) -> dict:
         sel = self.mask if self.mask is not None else np.ones(self.kind.shape, bool)
@@ -68,18 +67,15 @@ class OffsetLawTable(WoodFParams):
         return out
 
     def quantile_map(self, q: float) -> np.ndarray:
-        """Per-offset thresholds ``a+(q)``, 0 at masked offsets.
-
-        Evaluated once per ``q`` and cached on the table; the map is
-        read-only because every caller shares it.
+        """Per-offset thresholds ``a+(q)``, 0 at masked offsets, as a fresh
+        map: ``values < quantile_map(q)`` is ``(cdf_map(values) <= q) &
+        mask`` bit for bit.  A caller that tests many maps at one level
+        computes it once and keeps it.
         """
-        if q not in self._quantiles:
-            a_map = quantile(self, q)
-            if self.mask is not None:
-                a_map[~self.mask] = 0.0
-            a_map.flags.writeable = False
-            self._quantiles[q] = a_map
-        return self._quantiles[q]
+        a_map = quantile(self, q)
+        if self.mask is not None:
+            a_map[~self.mask] = 0.0
+        return a_map
 
     def live_mask(self) -> np.ndarray:
         """Offsets that can be detected at ``q < 1``: evaluated, nondegenerate."""
@@ -87,10 +83,6 @@ class OffsetLawTable(WoodFParams):
         if self.mask is not None:
             live &= self.mask
         return live
-
-    def detect_by_threshold(self, as_values: np.ndarray, q: float) -> np.ndarray:
-        """``as_values < a+(q)``: bitwise ``(cdf_map(as_values) <= q) & mask``."""
-        return np.asarray(as_values) < self.quantile_map(q)
 
 
 def stride_mask(shape: tuple[int, int], stride: int) -> np.ndarray:

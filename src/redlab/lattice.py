@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .background import from_exemplar
-from .detect import OffsetLawTable, offset_laws
+from .detect import offset_laws
 from .grid import PatchDomain, as_map
 
 __all__ = [
@@ -280,13 +280,15 @@ def c_per(fit: LatticeFit, n_components: int) -> float:
 
 
 def fit_anchor(
-    laws: OffsetLawTable, values, q: float, delta_b: float, delta_m: float, n_iter: int,
+    a_map, values, delta_b: float, delta_m: float, n_iter: int,
     init: str = "median", seed: int | None = None,
 ) -> tuple[DetectionGraph, LatticeFit, float]:  # fmt: skip
-    """One anchor's lattice: detect offsets at level ``q`` on its statistic
-    map ``values``, build their graph, fit a basis and score it; returns
-    the graph, the fit and :func:`c_per`.  Raises :class:`GraphTooSmall`."""
-    graph = build_graph(laws.detect_by_threshold(values, q), values)
+    """One anchor's lattice: detect the offsets ``values < a_map`` of its
+    statistic map, ``a_map`` being a law table's
+    :meth:`~redlab.detect.OffsetLawTable.quantile_map`, build their graph,
+    fit a basis and score it; returns the graph, the fit and
+    :func:`c_per`.  Raises :class:`GraphTooSmall`."""
+    graph = build_graph(values < a_map, values)
     fit = alternate_minimization(graph.edge_vectors, delta_b, delta_m, n_iter, init, seed)
     return graph, fit, c_per(fit, graph.n_components)
 
@@ -305,13 +307,14 @@ def rank_textures(
     """Rank images by periodicity.
 
     For each image: build its exemplar background model, fit the law table
-    once (the laws do not depend on the patch anchor), then for each of
-    ``n_anchors`` seeded uniform patch positions (mapped a few at a time by
-    one stacked ``as_map`` call) run :func:`fit_anchor`; the image's score
-    is the median periodicity criterion over the anchors whose graph could
-    be built.  The returned records are sorted by ascending score; images
-    with no successful anchor are reported unranked and sort last (ties
-    keep input order).
+    and compute its threshold map once (the laws do not depend on the
+    patch anchor), then for each of ``n_anchors`` seeded uniform patch
+    positions (mapped a few at a time by one stacked ``as_map`` call) run
+    :func:`fit_anchor` on that map; the image's score is the median
+    periodicity criterion over the anchors whose graph could be built.
+    The returned records are sorted by ascending score; images with no
+    successful anchor are reported unranked and sort last (ties keep input
+    order).
     """
     images = [np.asarray(u, dtype=np.float64) for u in images]
     if n_anchors < 1:
@@ -330,7 +333,7 @@ def rank_textures(
     for idx, u in enumerate(images):
         h, w = u.shape
         laws = offset_laws(from_exemplar(u), PatchDomain(anchor=(0, 0), side=patch_side))
-        q = nfa_max / (h * w)
+        a_map = laws.quantile_map(nfa_max / (h * w))
         # One anchor stream per master seed, shared by all images: scores
         # are compared at common positions, and the ranking cannot depend
         # on the input order.
@@ -346,7 +349,7 @@ def rank_textures(
         for start in range(0, n_anchors, chunk):
             for values in as_map(u, patches[start : start + chunk]):
                 try:
-                    values_list.append(fit_anchor(laws, values, q, delta_b, delta_m, n_iter)[2])
+                    values_list.append(fit_anchor(a_map, values, delta_b, delta_m, n_iter)[2])
                 except GraphTooSmall:
                     n_failed += 1
         score = float(np.median(values_list)) if values_list else None

@@ -583,7 +583,7 @@ def anchor_loop_scores(u, n_anchors, patch_side, nfa_max, delta_m, delta_b, n_it
     u = np.asarray(u, dtype=np.float64)
     h, w = u.shape
     laws = offset_laws(from_exemplar(u), PatchDomain(anchor=(0, 0), side=patch_side))
-    q = nfa_max / (h * w)
+    a_map = laws.quantile_map(nfa_max / (h * w))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA17C)))
     values_list: list[float] = []
     n_failed = 0
@@ -591,7 +591,7 @@ def anchor_loop_scores(u, n_anchors, patch_side, nfa_max, delta_m, delta_b, n_it
         ax = int(rng.integers(0, w - patch_side + 1))
         ay = int(rng.integers(0, h - patch_side + 1))
         values = as_map(u, PatchDomain(anchor=(ax, ay), side=patch_side))
-        d_map = laws.detect_by_threshold(values, q)
+        d_map = values < a_map
         try:
             graph = grid_build_graph(d_map, values)
         except GraphTooSmall:

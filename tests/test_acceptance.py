@@ -173,7 +173,7 @@ def test_c04_nfa_calibration():
         for s in range(200):
             u = sample(model, 40_000 + s)
             values = as_map(u, patch)
-            detected = laws.detect_by_threshold(values, q)
+            detected = values < a_map
             counts.append(int(detected.sum()))
         counts = np.array(counts)
         se_mean = counts.std(ddof=1) / np.sqrt(len(counts))

@@ -323,6 +323,17 @@ def test_sample_white_noise_equals_raw_draw():
     assert np.allclose(draw, raw, atol=1e-10)
 
 
+def test_sample_takes_a_generator_and_continues_its_stream():
+    model = from_exemplar(np.random.default_rng(3).standard_normal((12, 10)))
+    rng = np.random.default_rng(7)
+    first, second = sample(model, rng), sample(model, rng)
+    assert np.array_equal(first, sample(model, 7))
+    assert not np.array_equal(first, second)
+    stream = np.random.default_rng(7)
+    stream.standard_normal(model.shape)  # the draw behind the first sample
+    assert np.array_equal(second, sample(model, stream))
+
+
 def test_sample_zero_model_is_zero():
     model = from_exemplar(np.full((8, 8), 2.0))
     assert np.allclose(sample(model, 0), 0.0)

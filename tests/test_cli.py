@@ -300,6 +300,22 @@ def test_lattice_on_board(tmp_path):
     assert overlay.shape == (48, 48)
 
 
+def test_lattice_overlay_of_an_anchor_outside_the_image_wraps(tmp_path):
+    # Patches wrap, so anchors a period of the image apart fit the same
+    # lattice, and the overlay marks its points from the wrapped anchor.
+    path = tmp_path / "board.pgm"
+    u = board_image(path, n=64)
+    overlays = []
+    for anchor in ("30,30", "-34,30", "94,30"):
+        out = tmp_path / anchor
+        assert main(["lattice", str(path), f"--patch={anchor},8", "--nfa", "1",
+                     "--out", str(out)]) == 0  # fmt: skip
+        overlays.append((out / "overlay.pgm").read_bytes())
+    assert overlays[1] == overlays[0] and overlays[2] == overlays[0]
+    overlay, _ = read_pgm(tmp_path / "30,30" / "overlay.pgm")
+    assert (overlay != u).sum() > 0
+
+
 def test_lattice_infinite_log_posterior_is_written_as_inf(tmp_path):
     # A perfect fit (q = 0 with dB = dM = 0) has an infinite log posterior.
     ys, xs = np.mgrid[0:64, 0:64]

@@ -3,7 +3,6 @@ import pytest
 from oracles import centered_coords
 from scipy import stats
 
-import redlab.detect as detect
 from redlab.background import cumulants, from_exemplar, sample, white_noise
 from redlab.detect import autosim_detection, offset_laws, stride_mask
 from redlab.grid import PatchDomain, as_map
@@ -109,32 +108,8 @@ def test_table_anfa_identity_away_from_origin():
     assert abs(total - live.sum() * q) <= live.sum() * 2e-6
 
 
-def test_quantile_map_is_evaluated_once_per_level_and_read_only(monkeypatch):
-    rng = np.random.default_rng(11)
-    u = rng.standard_normal((12, 12))
-    patch = PatchDomain(side=3)
-    table = offset_laws(from_exemplar(u), patch)
-    levels = []
-
-    def counted(params, q):
-        levels.append(q)
-        return quantile(params, q)
-
-    monkeypatch.setattr(detect, "quantile", counted)
-    a_map = table.quantile_map(0.01)
-    assert not a_map.flags.writeable
-    with pytest.raises(ValueError):
-        a_map[0, 0] = 1.0
-    values = as_map(u, patch)
-    for _ in range(3):
-        assert table.quantile_map(0.01) is a_map
-        assert np.array_equal(table.detect_by_threshold(values, 0.01), values < a_map)
-    table.quantile_map(0.02)
-    assert levels == [0.01, 0.02]
-
-
 @pytest.mark.parametrize("masked", [False, True])
-def test_detect_by_threshold_never_fires_at_point_masses(masked):
+def test_threshold_detection_never_fires_at_point_masses(masked):
     # Under its own exemplar model an exactly periodic image has point-mass
     # laws at its periods, where both the statistic and the threshold are 0.
     u = np.tile(np.random.default_rng(12).standard_normal((4, 6)), (4, 3))
@@ -144,9 +119,10 @@ def test_detect_by_threshold_never_fires_at_point_masses(masked):
     values = as_map(u, patch)
     q = 1.0 / u.size
     zero_meets_zero = (table.kind == KIND_POINT) & evaluated & (values == 0.0)
-    zero_meets_zero &= table.quantile_map(q) == 0.0
+    a_map = table.quantile_map(q)
+    zero_meets_zero &= a_map == 0.0
     assert zero_meets_zero[0, 6] and zero_meets_zero[4, 0] and zero_meets_zero.sum() > 4
-    detected = table.detect_by_threshold(values, q)
+    detected = values < a_map
     assert not detected[table.kind == KIND_POINT].any()
     assert np.array_equal(detected, table.cdf_map(values) <= q)
 
@@ -204,7 +180,7 @@ def test_detect_route_equivalence():
         laws = offset_laws(model, patch)
         for nfa in (0.0, 1e-300, 37.0, 1024.0, 5000.0):
             res = autosim_detection(u, patch, model, nfa)
-            assert np.array_equal(res.d_map, laws.detect_by_threshold(values, nfa / 1024))
+            assert np.array_equal(res.d_map, values < laws.quantile_map(nfa / 1024))
             assert res.d_map[7, 12]
             if nfa == 0.0:
                 assert np.array_equal(res.d_map, res.p_map == 0.0)

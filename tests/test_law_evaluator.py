@@ -347,4 +347,4 @@ def test_threshold_detection_is_the_probability_rule_bit_for_bit(seed):
             ties = [np.where(finite, a, drawn) for a in (a_plus, np.nextafter(a_plus, 0.0))]
             for values in (drawn, *ties):
                 want = (table.cdf_map(values) <= q) & evaluated
-                assert np.array_equal(table.detect_by_threshold(values, q), want), q
+                assert np.array_equal(values < table.quantile_map(q), want), q

@@ -45,7 +45,8 @@ def test_every_package_import_resolves_to_a_listed_name():
 def test_law_table_exposes_its_map_methods_and_fields():
     for method in ("cdf_map", "quantile_map", "fallback_counts", "live_mask"):
         assert callable(OffsetLawTable.__dict__[method])
-    assert {"kind", "mask"} <= {f.name for f in dataclasses.fields(OffsetLawTable)}
+    fields = [f.name for f in dataclasses.fields(OffsetLawTable)]
+    assert fields == ["kind", "p0", "p1", "scale", "mask", "evaluated"]
 
 
 @pytest.mark.parametrize(
@@ -59,6 +60,7 @@ def test_law_table_exposes_its_map_methods_and_fields():
         ("background", "COV_SIDE_CAP"),
         ("background", "white_noise_law"),
         ("grid", "PatchDomain.coords"),
+        ("detect", "OffsetLawTable.detect_by_threshold"),
     ],
 )
 def test_test_only_oracles_live_under_tests(module, name):
