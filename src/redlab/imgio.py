@@ -110,10 +110,13 @@ def _parse_pgm(data: bytes) -> tuple[np.ndarray, int]:
 
 
 def write_pgm(path, image, maxval: int = 255) -> None:
-    """Write a binary PGM file, clipping and rounding samples to ``[0, maxval]``."""
+    """Write a binary PGM file, clipping and rounding finite samples to
+    ``[0, maxval]``; a NaN or infinite sample raises ``ValueError``."""
     u = np.asarray(image, dtype=np.float64)
     if u.ndim != 2:
         raise ValueError("PGM image must be 2-D")
+    if not np.isfinite(u).all():
+        raise ValueError("PGM samples must be finite")
     if not (0 < maxval < 65536):
         raise ValueError(f"invalid PGM maxval {maxval}")
     q = np.clip(np.rint(u), 0, maxval)

@@ -10,8 +10,9 @@ two-moment scaled chi-square fit; the zero law is an explicit point mass.
 :func:`fit`, :func:`cdf` and :func:`quantile` work elementwise on arrays
 of laws, and a scalar law is their 0-d case, so one code path serves a
 single offset and a whole offset map.  :func:`quantile` bisects each law
-to the smallest float with CDF above the level; a verified bracket around
-the closed-form inverse spares it far CDF calls without changing a bit.
+over float bit patterns to the smallest float with CDF above the level; a
+verified bracket around the closed-form inverse spares it far CDF calls
+without changing a bit.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ __all__ = ["QuadFormLaw", "WoodFParams", "fit", "cdf", "quantile"]
 # gamma limit while stressing the incomplete beta routine; reroute them.
 _ALPHA2_CAP = 1e7
 _NEG_CUMULANT_TOL = 1e-10
-# Quantile bracket doublings from max(mean, 1); 2**1000 is still finite.
-_MAX_DOUBLINGS = 1000
 # Relative half-width of the verified quantile bracket; at 2**-47 float
 # noise in the inverse fails the check on up to 20 entries of a 48x48 table.
 _BRACKET_REL = 2.0**-40
@@ -170,15 +169,17 @@ def quantile(params: WoodFParams, q: float):
     Elementwise over an array fit; a 0-d result is a Python float.  As the
     CDF is monotone, ``x < a+(q)`` exactly when ``cdf(x) <= q``.  It is
     ``inf`` at ``q >= 1``; below, the point mass gives 0 and other laws are
-    bracketed by doubling from ``max(mean, 1)``, then bisected from 0 to
-    adjacent floats, ``cdf(x) > q >= cdf(prev(x))`` (``prev``: float below).
+    bisected over the int64 bit patterns of the non-negative floats, which
+    sort as the floats do: at most 63 steps from +0.0 (never above ``q``)
+    and +inf (above, never evaluated) to ``cdf(x) > q >= cdf(prev(x))``
+    (``prev``: float below).  A NaN CDF is not above ``q``; a law with no
+    finite float above ``q`` raises ``ArithmeticError``.
 
-    Each step asks whether ``cdf(x) > q``.  The closed-form inverse seeds
-    a bracket ``[L, U]`` of relative width ``2**-39``, verified by two CDF
-    sweeps; steps below ``L`` are "below" and steps above ``U`` "above"
-    without a CDF call.  So the search takes the path, and gives the bits,
-    of evaluating every step, but only about 14 of its 60-odd steps per
-    law cost a call.  A law whose seed fails the check evaluates them all.
+    The closed-form inverse seeds a bracket ``[L, U]`` of relative width
+    ``2**-39``, verified by two CDF sweeps.  It only answers steps, "below"
+    under ``L`` and "above" over ``U`` without a CDF call, and never moves
+    the path: the bits are those of evaluating every step, but only about
+    14 steps per law cost a call (all of them where the check fails).
     """
     if not q >= 0.0:  # NaN included
         raise ValueError(f"quantile level must be >= 0, got {q}")
@@ -192,33 +193,25 @@ def quantile(params: WoodFParams, q: float):
     low, high = _bracket(law, q)
 
     def exceeds(todo: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # NaN (an overflowed Wood F ratio) counts as not above q.
         up = x > high[todo]
         inside = np.flatnonzero(~up & (x >= low[todo]))
         if inside.size:
-            up[inside] = cdf(_take(law, todo[inside]), x[inside]) > q
+            # Far steps overflow the Wood F ratio to NaN: not above q.
+            with np.errstate(over="ignore", invalid="ignore"):
+                up[inside] = cdf(_take(law, todo[inside]), x[inside]) > q
         return up
 
-    # A fitted alpha2 exceeds 3; the floor keeps the unused Wood F means
-    # of gamma laws finite.
-    wood_mean = law.scale * law.p0 / np.maximum(law.p1 - 1.0, 1e-12)
-    hi = np.maximum(np.where(law.kind == KIND_WOOD, wood_mean, law.p0 * law.p1), 1.0)
-    todo = np.arange(hi.size)
-    for _ in range(_MAX_DOUBLINGS):
-        todo = todo[~exceeds(todo, hi[todo])]
-        if todo.size == 0:
-            break
-        hi[todo] *= 2.0
-    else:
-        raise ArithmeticError("quantile bracket expansion failed")
-    lo = np.zeros_like(hi)
+    inf_bits = np.float64(np.inf).view(np.int64)
+    lo = np.zeros(law.kind.shape, np.int64)
+    hi = np.full(law.kind.shape, inf_bits)
     todo = np.arange(hi.size)
     while todo.size:
-        mid = 0.5 * (lo[todo] + hi[todo])
-        gap = (mid != lo[todo]) & (mid != hi[todo])
-        todo, mid = todo[gap], mid[gap]
-        above = exceeds(todo, mid)
+        mid = lo[todo] + (hi[todo] - lo[todo]) // 2
+        above = exceeds(todo, mid.view(np.float64))
         hi[todo[above]] = mid[above]
         lo[todo[~above]] = mid[~above]
-    out[live] = hi[inverse]
+        todo = todo[hi[todo] - lo[todo] > 1]
+    if np.any(hi == inf_bits):
+        raise ArithmeticError("no finite float has a CDF above the quantile level")
+    out[live] = hi.view(np.float64)[inverse]
     return float(out) if out.ndim == 0 else out

@@ -378,43 +378,28 @@ def table_cdf_map(table, values) -> np.ndarray:
 
 def table_quantile_map(table, q: float) -> np.ndarray:
     """Vectorised map of the smallest floats with CDF above ``q`` of a law
-    table, ``q`` in (0, 1): up to 200 bracket doublings and a fixed 80
-    halvings; 0 at point-mass and masked offsets."""
+    table, ``q`` in (0, 1): 63 halvings of the int64 bit patterns between
+    +0.0 and +inf; 0 at point-mass and masked offsets."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0,1), got {q}")
     live = table.kind != KIND_POINT
     if table.mask is not None:
         live &= table.mask
-    out = np.zeros(table.kind.shape)
-    if not np.any(live):
-        return out
     k, p0, p1, sc = (a[live] for a in (table.kind, table.p0, table.p1, table.scale))
     wood = k == KIND_WOOD
-
-    def vec_cdf(x: np.ndarray) -> np.ndarray:
-        res = np.empty_like(x)
-        y = x[wood] / sc[wood]
-        res[wood] = special.betainc(p0[wood], p1[wood], y / (1.0 + y))
-        g = ~wood
-        res[g] = special.gammainc(p0[g] / 2.0, x[g] / (2.0 * p1[g]))
-        return res
-
-    mean = np.where(wood, sc * p0 / np.maximum(p1 - 1.0, 1e-12), p0 * p1)
-    hi = np.maximum(mean, 1.0)
-    for _ in range(200):
-        low = vec_cdf(hi) <= q
-        if not np.any(low):
-            break
-        hi[low] *= 2.0
-    else:
-        raise ArithmeticError("quantile bracket expansion failed")
-    lo = np.zeros_like(hi)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        above = vec_cdf(mid) > q
-        hi[above] = mid[above]
-        lo[~above] = mid[~above]
-    out[live] = hi
+    lo = np.zeros(k.shape, np.int64)
+    hi = np.full(k.shape, np.float64(np.inf).view(np.int64))
+    for _ in range(63):
+        mid = lo + (hi - lo) // 2
+        x = mid.view(np.float64)
+        cdf = special.gammainc(p0 / 2.0, x / (2.0 * p1))  # gamma laws
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = x[wood] / sc[wood]
+            cdf[wood] = special.betainc(p0[wood], p1[wood], y / (1.0 + y))
+        above = cdf > q
+        hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
+    out = np.zeros(table.kind.shape)
+    out[live] = hi.view(np.float64)
     return out
 
 
@@ -432,41 +417,25 @@ def _array_cdf(kind, p0, p1, scale, x) -> np.ndarray:
 
 def bisect_quantile(params, q: float):
     """Smallest floats with CDF above ``q``, ``q`` in [0, 1), by a search
-    that evaluates the CDF at every step: up to 1000 bracket doublings from
-    ``max(mean, 1)``, then bisection from 0 until the bracket is two
-    adjacent floats.  NaN counts as not above ``q``; point masses give 0; a
-    0-d result is a Python float."""
+    that evaluates the CDF at every step: bisection over the int64 bit
+    patterns of the non-negative floats, from +0.0 to +inf, until the two
+    ends are adjacent.  NaN counts as not above ``q``; point masses give 0;
+    a 0-d result is a Python float."""
     if not 0.0 <= q < 1.0:
         raise ValueError(f"quantile level must be in [0,1), got {q}")
     kind, p0, p1, scale = np.broadcast_arrays(params.kind, params.p0, params.p1, params.scale)
     live = kind != KIND_POINT
-    kind, p0, p1, scale = kind[live], p0[live], p1[live], scale[live]
-
-    def exceeds(todo, x):
-        return _array_cdf(kind[todo], p0[todo], p1[todo], scale[todo], x) > q
-
-    wood_mean = scale * p0 / np.maximum(p1 - 1.0, 1e-12)
-    hi = np.maximum(np.where(kind == KIND_WOOD, wood_mean, p0 * p1), 1.0)
-    todo = np.arange(hi.size)
-    for _ in range(1000):
-        with np.errstate(invalid="ignore"):
-            todo = todo[~exceeds(todo, hi[todo])]
-        if todo.size == 0:
-            break
-        hi[todo] *= 2.0
-    else:
-        raise ArithmeticError("quantile bracket expansion failed")
-    lo = np.zeros_like(hi)
-    todo = np.arange(hi.size)
-    while todo.size:
-        mid = 0.5 * (lo[todo] + hi[todo])
-        gap = (mid != lo[todo]) & (mid != hi[todo])
-        todo, mid = todo[gap], mid[gap]
-        above = exceeds(todo, mid)
-        hi[todo[above]] = mid[above]
-        lo[todo[~above]] = mid[~above]
+    lo = np.zeros(np.count_nonzero(live), np.int64)
+    hi = np.full(lo.shape, np.float64(np.inf).view(np.int64))
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            cdf = _array_cdf(kind[live], p0[live], p1[live], scale[live], mid.view(np.float64))
+        hi, lo = np.where(cdf > q, mid, hi), np.where(cdf > q, lo, mid)
+    if np.any(hi == np.float64(np.inf).view(np.int64)):
+        raise ArithmeticError("no finite float has a CDF above the quantile level")
     out = np.zeros(live.shape)
-    out[live] = hi
+    out[live] = hi.view(np.float64)
     return float(out) if out.ndim == 0 else out
 
 

@@ -63,6 +63,14 @@ def test_pgm_clips_and_rounds(tmp_path):
     assert back.tolist() == [[0.0, 100.0, 255.0]]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pgm_writer_rejects_a_non_finite_sample_before_opening(tmp_path, bad):
+    path = tmp_path / "bad.pgm"
+    with pytest.raises(ValueError, match="finite"):
+        write_pgm(path, np.array([[1.0, bad]]))
+    assert not path.exists()
+
+
 def test_pgm_errors(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P6\n1 1\n255\n\x00")

@@ -7,7 +7,9 @@ noise, so a change that does more work fails here, not only in a bench.
 
 Threshold maps: ``detect`` decides by probabilities and inverts no law;
 ``lattice`` and ``denoise`` invert one table once; ``rank`` inverts one
-table per image, once for all its anchors.
+table per image, once for all its anchors.  Inside ``quantile`` the CDF
+points split into the two check sweeps of each distinct law's bracket and
+the bisection steps that fall inside it.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from test_cli import board_image
 
 import redlab.detect as detect
+import redlab.quadform as quadform
 from redlab.cli import main
 from redlab.imgio import write_pgm
 
@@ -64,3 +67,35 @@ def test_threshold_maps_per_subcommand(tmp_path, monkeypatch, command, calls):
     monkeypatch.setattr(detect, "quantile", counted)
     assert main(argv_of(command, tmp_path)) == 0
     assert len(levels) == calls
+
+
+@pytest.mark.parametrize(
+    "command, sweeps, steps",
+    [
+        ("detect", 0, 0),
+        ("lattice", 412, 2968),
+        ("rank", 2048, 14825),
+        ("denoise", 16, 117),
+        ("sample", 0, 0),
+    ],
+)
+def test_quantile_cdf_points_per_subcommand(tmp_path, monkeypatch, command, sweeps, steps):
+    # quadform.cdf is looked up by _bracket and by the search's steps only.
+    points, phase = {"sweeps": 0, "steps": 0}, ["steps"]
+    bracket, cdf = quadform._bracket, quadform.cdf
+
+    def in_bracket(law, q):
+        phase[0] = "sweeps"
+        try:
+            return bracket(law, q)
+        finally:
+            phase[0] = "steps"
+
+    def counted(params, x):
+        points[phase[0]] += np.size(x)
+        return cdf(params, x)
+
+    monkeypatch.setattr(quadform, "_bracket", in_bracket)
+    monkeypatch.setattr(quadform, "cdf", counted)
+    assert main(argv_of(command, tmp_path)) == 0
+    assert points == {"sweeps": sweeps, "steps": steps}
